@@ -104,13 +104,6 @@ consumeObsFlags(int& argc, char** argv)
     return opt;
 }
 
-/** Back-compat shorthand: `--trace` / OCTO_TRACE only. */
-inline bool
-consumeTraceFlag(int& argc, char** argv)
-{
-    return consumeObsFlags(argc, argv).trace;
-}
-
 /**
  * One bench binary's observability pipeline: the shared Hub, the
  * accumulated Report, and (per run) a Sampler with the standard
@@ -165,8 +158,10 @@ class ObsSession
     /**
      * Attach the standard watch set for a testbed run and start
      * sampling: rx Gb/s, interconnect bytes + crossing rate, memory
-     * bandwidth, per-PF DMA rates, and (when a HealthMonitor is
-     * attached) per-PF weight/state. Null when sampling is off.
+     * bandwidth, per-PF DMA rates, (when a HealthMonitor is attached)
+     * per-PF weight/state, and (when an access monitor is attached)
+     * its region count and scheme-action rate. Null when sampling is
+     * off.
      */
     obs::Sampler*
     startSampler(Testbed& tb)
@@ -220,85 +215,15 @@ class ObsSession
                 });
             }
         }
-        // Opt-in (OCTO_SAMPLE_FLOWS=1): flow-attribution sketch tracks —
-        // resident rows (gauge) and eviction rate per device. Off by
-        // default so the standard report stays byte-comparable against
-        // goldens generated before these tracks existed.
-        if (std::getenv("OCTO_SAMPLE_FLOWS") != nullptr) {
-            const obs::DmaAccountant* acc = &nic->flows();
-            s.watchGauge("flow_rows[nic]", [acc] {
-                return static_cast<double>(acc->flowCount());
+        if (const accmon::AccessMonitor* am = tb.accessMonitor()) {
+            s.watchGauge("accmon_regions", [am] {
+                return static_cast<double>(am->regions().regionCount());
             });
-            s.watchRate(
-                "flow_evictions_per_s[nic]",
-                [acc] { return acc->evictions(); },
-                obs::SampleUnit::PerSec);
-            if (bypass::PollPlane* pl = tb.serverPoll()) {
-                const obs::DmaAccountant* pacc = &pl->flows();
-                s.watchGauge("flow_rows[poll]", [pacc] {
-                    return static_cast<double>(pacc->flowCount());
-                });
-                s.watchRate(
-                    "flow_evictions_per_s[poll]",
-                    [pacc] { return pacc->evictions(); },
-                    obs::SampleUnit::PerSec);
-            }
         }
-        // Opt-in (OCTO_SAMPLE_ACCMON=1): access-monitor self tracks —
-        // live region count (gauge) and scheme-action rate. Off by
-        // default so the standard report stays byte-comparable against
-        // goldens (same contract as OCTO_SAMPLE_FLOWS).
-        if (std::getenv("OCTO_SAMPLE_ACCMON") != nullptr) {
-            if (const accmon::AccessMonitor* am = tb.accessMonitor()) {
-                s.watchGauge("accmon_regions", [am] {
-                    return static_cast<double>(
-                        am->regions().regionCount());
-                });
-            }
-            if (const accmon::SchemeEngine* se = tb.schemeEngine()) {
-                s.watchRate(
-                    "accmon_scheme_applied_per_s",
-                    [se] { return se->appliedTotal(); },
-                    obs::SampleUnit::PerSec);
-            }
-        }
-        // Opt-in (OCTO_SAMPLE_SIM=1): event-core throughput per
-        // scheduling domain. Off by default so the standard report
-        // stays byte-comparable against goldens.
-        if (std::getenv("OCTO_SAMPLE_SIM") != nullptr) {
-            sim::Simulator* sp = &tb.sim();
+        if (const accmon::SchemeEngine* se = tb.schemeEngine()) {
             s.watchRate(
-                "sim_events_per_s",
-                [sp] { return sp->eventsProcessed(); },
-                obs::SampleUnit::PerSec);
-            // Probes filter the live domain list at sample time, so
-            // domains registered mid-run (lazy IRQ events) are counted
-            // from their first event on.
-            for (int n = 0; n < m->nodes(); ++n) {
-                s.watchRate(
-                    "sim_events_per_s[node" + std::to_string(n) + "]",
-                    [sp, n] {
-                        std::uint64_t total = 0;
-                        const auto& ds = sp->domains();
-                        for (std::size_t i = 0; i < ds.size(); ++i) {
-                            if (ds[i].node == n)
-                                total += sp->domainEvents(i);
-                        }
-                        return total;
-                    },
-                    obs::SampleUnit::PerSec);
-            }
-            s.watchRate(
-                "sim_events_per_s[dev]",
-                [sp] {
-                    std::uint64_t total = 0;
-                    const auto& ds = sp->domains();
-                    for (std::size_t i = 0; i < ds.size(); ++i) {
-                        if (ds[i].device >= 0)
-                            total += sp->domainEvents(i);
-                    }
-                    return total;
-                },
+                "accmon_scheme_applied_per_s",
+                [se] { return se->appliedTotal(); },
                 obs::SampleUnit::PerSec);
         }
         s.start();
@@ -414,6 +339,21 @@ class ObsSession
     obs::Report report_;
     std::unique_ptr<obs::Sampler> sampler_;
 };
+
+/**
+ * The hub a bench's own timeline Sampler reports through: the
+ * session's (obsBegin already set its run label) when observability is
+ * on, else @p own labelled @p run, so the report's run column is
+ * filled either way.
+ */
+inline obs::Hub&
+timelineHub(ObsSession* obs, obs::Hub& own, const std::string& run)
+{
+    if (obs != nullptr && obs->active())
+        return *obs->hub();
+    own.setRun(run);
+    return own;
+}
 
 /**
  * Wire a config for an observability pass: label the run, attach the

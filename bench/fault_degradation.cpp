@@ -14,15 +14,15 @@
  *
  * Output: a Fig. 14-style printed timeline of per-PF Gb/s plus the
  * monitor's steering weights, and `fault_degradation.csv` with every
- * 10 ms sample (CI runs this binary as a smoke test and checks the CSV
- * is non-empty).
+ * 10 ms sample of the monitored run in the report's long format
+ * (run,series,unit,time_ms,value; CI runs this binary as a smoke test
+ * and checks the CSV is non-empty).
  */
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "common.hpp"
-#include "sim/trace.hpp"
 
 using namespace octo;
 using namespace octo::bench;
@@ -44,7 +44,8 @@ runTimeline(bool monitored, bool print, ObsSession* obs = nullptr)
     cfg.mode = ServerMode::Ioctopus;
     cfg.faults.pcieWidthDegrade(kDegradeAt, 0, 2)
         .pcieRestore(kRestoreAt, 0);
-    obsBegin(obs, cfg, monitored ? "monitored" : "unmonitored");
+    const char* label = monitored ? "monitored" : "unmonitored";
+    obsBegin(obs, cfg, label);
     // After obsBegin: the monitor is this run's comparison knob, not an
     // observability convenience, so the explicit setting must win.
     cfg.healthMonitor = monitored;
@@ -71,10 +72,13 @@ runTimeline(bool monitored, bool print, ObsSession* obs = nullptr)
         return total;
     };
 
-    sim::TimeSeries series(tb.sim(), kSample);
-    series.addProbe("pf0", [&] { return tb.serverNic().pfRxBytes(0); });
-    series.addProbe("pf1", [&] { return tb.serverNic().pfRxBytes(1); });
-    series.addProbe("app", app_bytes);
+    obs::Hub own;
+    obs::Report timeline;
+    obs::Sampler series(tb.sim(), timelineHub(obs, own, label), timeline,
+                        kSample);
+    series.watchRate("pf0", [&] { return tb.serverNic().pfRxBytes(0); });
+    series.watchRate("pf1", [&] { return tb.serverNic().pfRxBytes(1); });
+    series.watchRate("app", app_bytes);
     series.start();
     // The sampled run shows the weight collapse and the probation
     // ramp directly as pfN_health_weight counter tracks.
@@ -82,20 +86,30 @@ runTimeline(bool monitored, bool print, ObsSession* obs = nullptr)
         obs->startSampler(tb);
 
     // Step the run sample-by-sample so the monitor's (non-cumulative)
-    // steering weights can be recorded alongside the byte probes.
-    std::vector<std::vector<double>> weights;
+    // steering weights can be read after each step and added to the
+    // run as value series. A gauge watch would read them too early:
+    // where a sample and a monitor update share a tick, the sample's
+    // event fires first.
+    std::vector<double> w0;
+    std::vector<double> w1;
     std::uint64_t degraded_bytes = 0;
     std::uint64_t mark = 0;
     for (sim::Tick t = 0; t < kRunFor; t += kSample) {
         tb.runFor(kSample);
-        health::HealthMonitor* mon = tb.monitor();
-        weights.push_back(mon != nullptr ? mon->weights()
-                                         : std::vector<double>{});
+        if (health::HealthMonitor* mon = tb.monitor()) {
+            w0.push_back(mon->weight(0));
+            w1.push_back(mon->weight(1));
+        }
         const sim::Tick now = tb.sim().now();
         if (now == kDegradeAt + kSample)
             mark = app_bytes();
         if (now == kRestoreAt)
             degraded_bytes = app_bytes() - mark;
+    }
+    obs::RunData& run = *timeline.lastRun();
+    if (!w0.empty()) {
+        run.series.push_back({"w0", obs::SampleUnit::Value, w0});
+        run.series.push_back({"w1", obs::SampleUnit::Value, w1});
     }
 
     if (print) {
@@ -105,19 +119,18 @@ runTimeline(bool monitored, bool print, ObsSession* obs = nullptr)
                     kStreams, monitored ? "ON" : "OFF");
         std::printf("%-8s %8s %8s %8s %8s %8s %10s\n", "t[s]", "pf0",
                     "pf1", "app", "w0", "w1", "pf0-state");
-        for (std::size_t i = 0; i < series.sampleCount(); ++i) {
-            const double t_ms = sim::toMs(series.timeAt(i));
+        for (std::size_t i = 0; i < run.timesMs.size(); ++i) {
+            const double t_ms = run.timesMs[i];
             const bool near_fault =
                 (t_ms >= 290 && t_ms <= 370) ||
                 (t_ms >= 590 && t_ms <= 690);
             if (static_cast<int>(t_ms) % 100 != 0 && !near_fault)
                 continue;
             std::printf("%-8.2f", t_ms / 1000.0);
-            for (std::size_t p = 0; p < series.probeCount(); ++p)
-                std::printf(" %8.2f", series.gbpsAt(p, i));
-            if (i < weights.size() && weights[i].size() >= 2)
-                std::printf(" %8.1f %8.1f %10s", weights[i][0],
-                            weights[i][1],
+            for (std::size_t p = 0; p < series.watchCount(); ++p)
+                std::printf(" %8.2f", run.series[p].values[i]);
+            if (i < w0.size())
+                std::printf(" %8.1f %8.1f %10s", w0[i], w1[i],
                             health::stateName(tb.monitor()->state(0)));
             std::printf("\n");
         }
@@ -136,26 +149,8 @@ runTimeline(bool monitored, bool print, ObsSession* obs = nullptr)
                             tb.monitor()->samples()));
         std::printf("\n");
 
-        if (monitored) {
-            std::FILE* csv = std::fopen("fault_degradation.csv", "w");
-            if (csv != nullptr) {
-                std::fprintf(csv,
-                             "time_ms,pf0_gbps,pf1_gbps,app_gbps,"
-                             "w0_gbps,w1_gbps\n");
-                for (std::size_t i = 0; i < series.sampleCount(); ++i) {
-                    std::fprintf(csv, "%.3f", sim::toMs(series.timeAt(i)));
-                    for (std::size_t p = 0; p < series.probeCount(); ++p)
-                        std::fprintf(csv, ",%.3f", series.gbpsAt(p, i));
-                    if (i < weights.size() && weights[i].size() >= 2)
-                        std::fprintf(csv, ",%.3f,%.3f", weights[i][0],
-                                     weights[i][1]);
-                    else
-                        std::fprintf(csv, ",,");
-                    std::fprintf(csv, "\n");
-                }
-                std::fclose(csv);
-            }
-        }
+        if (monitored)
+            timeline.writeCsvFile("fault_degradation.csv");
     }
     if (obs != nullptr)
         obs->endRun();

@@ -15,7 +15,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
-#include "sim/trace.hpp"
 
 using namespace octo;
 using namespace octo::bench;
@@ -39,10 +38,13 @@ runFailoverTimeline(ObsSession* obs = nullptr)
                                     workloads::StreamDir::ServerRx);
     stream.start();
 
-    sim::TimeSeries series(tb.sim(), sim::fromMs(10));
-    series.addProbe("pf0", [&] { return tb.serverNic().pfRxBytes(0); });
-    series.addProbe("pf1", [&] { return tb.serverNic().pfRxBytes(1); });
-    series.addProbe("app", [&] { return stream.bytesDelivered(); });
+    obs::Hub own;
+    obs::Report timeline;
+    obs::Sampler series(tb.sim(), timelineHub(obs, own, "failover"),
+                        timeline, sim::fromMs(10));
+    series.watchRate("pf0", [&] { return tb.serverNic().pfRxBytes(0); });
+    series.watchRate("pf1", [&] { return tb.serverNic().pfRxBytes(1); });
+    series.watchRate("app", [&] { return stream.bytesDelivered(); });
     series.start();
     if (obs != nullptr)
         obs->startSampler(tb);
@@ -51,19 +53,20 @@ runFailoverTimeline(ObsSession* obs = nullptr)
 
     std::printf("\n# octoNIC: PF1 surprise-removed at 0.30 s, "
                 "re-probed at 0.60 s; 10 ms samples\n");
+    const obs::RunData& run = timeline.runs().front();
     std::printf("%-8s", "t[s]");
-    for (std::size_t p = 0; p < series.probeCount(); ++p)
-        std::printf(" %8s", series.probeName(p).c_str());
+    for (const obs::SeriesData& s : run.series)
+        std::printf(" %8s", s.name.c_str());
     std::printf("\n");
-    for (std::size_t i = 0; i < series.sampleCount(); ++i) {
-        const double t_ms = sim::toMs(series.timeAt(i));
+    for (std::size_t i = 0; i < run.timesMs.size(); ++i) {
+        const double t_ms = run.timesMs[i];
         const bool near_fault =
             (t_ms >= 280 && t_ms <= 360) || (t_ms >= 580 && t_ms <= 660);
         if (static_cast<int>(t_ms) % 50 != 0 && !near_fault)
             continue;
         std::printf("%-8.2f", t_ms / 1000.0);
-        for (std::size_t p = 0; p < series.probeCount(); ++p)
-            std::printf(" %8.2f", series.gbpsAt(p, i));
+        for (const obs::SeriesData& s : run.series)
+            std::printf(" %8.2f", s.values[i]);
         std::printf("\n");
     }
 

@@ -23,9 +23,8 @@
  * regardless of K or churn.
  *
  * Per pass the bench reports wall ns/record (min over stream chunks,
- * filtering host noise out of the flatness comparison;
- * also cross-checked against the accountant's own OCTO_OBS_SELFCOST
- * timer), resident sketch rows, registry label rows, and evictions.
+ * filtering host noise out of the flatness comparison), resident
+ * sketch rows, registry label rows, and evictions.
  * Acceptance (tools/check_obs_scale.py): bounded modes hold rows <=
  * K (+1 registry row for ~other) and flat ns/record across three
  * decades of flow count, while the unbounded mode's rows grow with
@@ -65,7 +64,6 @@ struct PassResult
     std::uint64_t residentRows = 0;
     std::uint64_t labelRows = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t selfNs = 0;
     bool conserved = false;
 };
 
@@ -103,7 +101,6 @@ runPass(const std::string& mode, int top_k, std::uint64_t flows,
 {
     Hub hub;
     DmaAccountant acc(&hub, "bench", top_k);
-    acc.setSelfTimed(true);
 
     octo::sim::Rng rng(0x0B5'5CA1Eull ^ flows);
     std::uint64_t local_ref = 0;
@@ -158,7 +155,6 @@ runPass(const std::string& mode, int top_k, std::uint64_t flows,
     r.residentRows = acc.flowCount();
     r.labelRows = labelRowCount(reg);
     r.evictions = acc.evictions();
-    r.selfNs = acc.selfNs();
     r.conserved = conserved;
     return r;
 }
@@ -181,9 +177,9 @@ main()
                 "flows, 50%% fresh-key churn\n",
                 static_cast<unsigned long long>(records),
                 static_cast<unsigned long long>(kHotKeys));
-    std::printf("%-10s %6s %9s %12s %10s %10s %12s %10s %s\n", "mode",
+    std::printf("%-10s %6s %9s %12s %10s %10s %12s %s\n", "mode",
                 "topK", "flows", "ns/record", "resident", "rows",
-                "evictions", "conserved", "self_ms");
+                "evictions", "conserved");
 
     std::vector<PassResult> results;
     bool ok = true;
@@ -206,16 +202,14 @@ main()
     }
 
     for (const PassResult& r : results) {
-        std::printf("%-10s %6d %9llu %12.1f %10llu %10llu %12llu "
-                    "%10s %.1f\n",
+        std::printf("%-10s %6d %9llu %12.1f %10llu %10llu %12llu %s\n",
                     r.mode.c_str(), r.topK,
                     static_cast<unsigned long long>(r.flows),
                     r.nsPerRecord,
                     static_cast<unsigned long long>(r.residentRows),
                     static_cast<unsigned long long>(r.labelRows),
                     static_cast<unsigned long long>(r.evictions),
-                    r.conserved ? "yes" : "NO",
-                    static_cast<double>(r.selfNs) / 1e6);
+                    r.conserved ? "yes" : "NO");
         if (!r.conserved) {
             std::printf("FAIL: %s flows=%llu broke byte "
                         "conservation\n",
@@ -238,11 +232,11 @@ main()
 
     if (std::FILE* f = std::fopen("obs_scale.csv", "w")) {
         std::fprintf(f, "mode,topk,flows,records,ns_per_record,"
-                        "resident_rows,label_rows,evictions,self_ns,"
+                        "resident_rows,label_rows,evictions,"
                         "conserved\n");
         for (const PassResult& r : results) {
             std::fprintf(
-                f, "%s,%d,%llu,%llu,%.2f,%llu,%llu,%llu,%llu,%d\n",
+                f, "%s,%d,%llu,%llu,%.2f,%llu,%llu,%llu,%d\n",
                 r.mode.c_str(), r.topK,
                 static_cast<unsigned long long>(r.flows),
                 static_cast<unsigned long long>(r.records),
@@ -250,7 +244,6 @@ main()
                 static_cast<unsigned long long>(r.residentRows),
                 static_cast<unsigned long long>(r.labelRows),
                 static_cast<unsigned long long>(r.evictions),
-                static_cast<unsigned long long>(r.selfNs),
                 r.conserved ? 1 : 0);
         }
         std::fclose(f);

@@ -19,8 +19,9 @@
  * compared.
  *
  * Output: a printed per-PF Tx timeline with the override rate, and
- * `tx_retention.csv` (10 ms samples; the override column is an
- * events-per-second series, exported with the `_per_s` suffix). With
+ * `tx_retention.csv` with the monitored run's 10 ms samples in the
+ * report's long format (run,series,unit,time_ms,value; the override
+ * series is an events-per-second rate, unit `per_s`). With
  * `--trace`/OCTO_TRACE the monitored run also records steering/health
  * trace events into `tx_retention_trace.json` plus a Prometheus
  * snapshot in `tx_retention_metrics.prom`.
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "sim/trace.hpp"
 
 using namespace octo;
 using namespace octo::bench;
@@ -94,13 +94,18 @@ runTimeline(bool monitored, bool print, ObsSession* obs,
         return total;
     };
 
-    sim::TimeSeries series(tb.sim(), kSample);
-    series.addProbe("pf0_tx", [&] { return tb.serverNic().pfTxBytes(0); });
-    series.addProbe("pf1_tx", [&] { return tb.serverNic().pfTxBytes(1); });
-    series.addProbe("app", app_bytes);
-    series.addProbe("xps_override",
-                    [&] { return tb.serverStack().txQueueOverrides(); },
-                    sim::ProbeUnit::Events);
+    obs::Hub own;
+    obs::Report timeline;
+    obs::Sampler series(tb.sim(), timelineHub(obs, own, label), timeline,
+                        kSample);
+    series.watchRate("pf0_tx",
+                     [&] { return tb.serverNic().pfTxBytes(0); });
+    series.watchRate("pf1_tx",
+                     [&] { return tb.serverNic().pfTxBytes(1); });
+    series.watchRate("app", app_bytes);
+    series.watchRate("xps_override",
+                     [&] { return tb.serverStack().txQueueOverrides(); },
+                     obs::SampleUnit::PerSec);
     series.start();
     if (obs != nullptr)
         obs->startSampler(tb);
@@ -123,17 +128,18 @@ runTimeline(bool monitored, bool print, ObsSession* obs,
                     streams, monitored ? "ON" : "OFF");
         std::printf("%-8s %10s %10s %10s %14s\n", "t[s]", "pf0-tx",
                     "pf1-tx", "app", "override/s");
-        for (std::size_t i = 0; i < series.sampleCount(); ++i) {
-            const double t_ms = sim::toMs(series.timeAt(i));
+        const obs::RunData& run = timeline.runs().front();
+        for (std::size_t i = 0; i < run.timesMs.size(); ++i) {
+            const double t_ms = run.timesMs[i];
             const bool near_fault =
                 (t_ms >= 290 && t_ms <= 370) ||
                 (t_ms >= 590 && t_ms <= 690);
             if (static_cast<int>(t_ms) % 100 != 0 && !near_fault)
                 continue;
             std::printf("%-8.2f %10.2f %10.2f %10.2f %14.0f\n",
-                        t_ms / 1000.0, series.gbpsAt(0, i),
-                        series.gbpsAt(1, i), series.gbpsAt(2, i),
-                        series.ratePerSecAt(3, i));
+                        t_ms / 1000.0, run.series[0].values[i],
+                        run.series[1].values[i], run.series[2].values[i],
+                        run.series[3].values[i]);
         }
         std::printf("# tx-overrides=%llu resteers=%llu\n",
                     static_cast<unsigned long long>(
@@ -141,12 +147,8 @@ runTimeline(bool monitored, bool print, ObsSession* obs,
                     static_cast<unsigned long long>(
                         tb.serverStack().healthResteers()));
 
-        if (monitored) {
-            if (std::FILE* csv = std::fopen("tx_retention.csv", "w")) {
-                series.writeCsv(csv);
-                std::fclose(csv);
-            }
-        }
+        if (monitored)
+            timeline.writeCsvFile("tx_retention.csv");
     }
 
     if (obs != nullptr)

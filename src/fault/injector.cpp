@@ -455,10 +455,10 @@ Injector::apply(const FaultEvent& ev)
     }
 
     if (hit) {
-        applied_.add();
-        perKind_.at(static_cast<std::size_t>(ev.kind)).add();
+        ++applied_;
+        ++perKind_.at(static_cast<std::size_t>(ev.kind));
     } else {
-        skipped_.add();
+        ++skipped_;
     }
 }
 

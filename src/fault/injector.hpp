@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "fault/plan.hpp"
-#include "sim/stats.hpp"
 #include "sim/task.hpp"
 
 namespace octo::nic {
@@ -67,15 +66,15 @@ class Injector
     bool done() const { return done_; }
 
     /** Events applied so far, total and per kind. */
-    std::uint64_t applied() const { return applied_.value(); }
+    std::uint64_t applied() const { return applied_; }
     std::uint64_t
     appliedOf(FaultKind k) const
     {
-        return perKind_.at(static_cast<std::size_t>(k)).value();
+        return perKind_.at(static_cast<std::size_t>(k));
     }
 
     /** Events whose target object was absent. */
-    std::uint64_t skipped() const { return skipped_.value(); }
+    std::uint64_t skipped() const { return skipped_; }
 
   private:
     sim::Task<> run();
@@ -89,9 +88,9 @@ class Injector
     bool done_ = false;
     std::vector<std::string> planErrors_;
 
-    sim::Counter applied_;
-    sim::Counter skipped_;
-    std::array<sim::Counter, kFaultKindCount> perKind_;
+    std::uint64_t applied_ = 0;
+    std::uint64_t skipped_ = 0;
+    std::array<std::uint64_t, kFaultKindCount> perKind_{};
 };
 
 } // namespace octo::fault

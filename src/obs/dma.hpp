@@ -10,9 +10,9 @@
  * PCIe layer below cannot know.
  *
  * Attribution is a Space-Saving top-K heavy-hitter sketch
- * (obs::SpaceSaving, K = OCTO_FLOW_TOPK, default 64) per device: the
- * K heaviest flows own labeled registry rows {dev, flow} of five
- * counters, exactly as when every flow had a row —
+ * (obs::SpaceSaving, K = the constructor's top_k, default 64) per
+ * device: the K heaviest flows own labeled registry rows {dev, flow}
+ * of five counters, exactly as when every flow had a row —
  *
  *     flow_dma_local_bytes      payload bytes via a socket-local PF
  *     flow_dma_remote_bytes     payload bytes that crossed sockets
@@ -34,20 +34,16 @@
  * observables from day one.
  *
  * Self-cost: records and evictions are counted (obs_attr_records_total,
- * flow_evictions_total, flow_rows gauge), and with OCTO_OBS_SELFCOST=1
- * the attribution path times itself (wall ns into obs_attr_ns_total) —
- * the proof obligation that bounded attribution stays O(1) per record
- * at million-flow churn. Wall-clock never feeds simulated state, so
+ * flow_evictions_total, flow_rows gauge); bench_obs_scale times the
+ * record path from outside. Nothing here reads wall-clock time, so
  * results stay bit-identical with telemetry on or off. Inert without a
  * hub: record() is a null check and nothing more, and the label
  * callable is never invoked for keys already resident.
  */
 #pragma once
 
-#include <chrono>
+#include <cassert>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -60,21 +56,18 @@ namespace octo::obs {
 class DmaAccountant
 {
   public:
-    /** Built-in sketch capacity when OCTO_FLOW_TOPK is unset. */
+    /** Sketch capacity of every model-owned accountant. */
     static constexpr int kDefaultTopK = 64;
 
     /** @param hub  Null makes every record() a no-op.
      *  @param dev  Device label stamped on every flow row.
-     *  @param top_k Sketch capacity; <= 0 reads OCTO_FLOW_TOPK (falls
-     *               back to kDefaultTopK). */
-    DmaAccountant(Hub* hub, std::string dev, int top_k = 0)
+     *  @param top_k Sketch capacity (> 0). A K at or above the live
+     *               flow count never evicts: one exact row per flow. */
+    DmaAccountant(Hub* hub, std::string dev, int top_k = kDefaultTopK)
         : reg_(hub != nullptr ? &hub->metrics() : nullptr),
-          dev_(std::move(dev)),
-          exact_(top_k <= 0 && exactRequested()),
-          sketch_(static_cast<std::size_t>(
-              top_k > 0 ? top_k : (exact_ ? 1 : defaultTopK()))),
-          timed_(envOn("OCTO_OBS_SELFCOST"))
+          dev_(std::move(dev)), sketch_(static_cast<std::size_t>(top_k))
     {
+        assert(top_k > 0);
         if (reg_ == nullptr)
             return;
         const Labels l = {{"dev", dev_}};
@@ -85,8 +78,6 @@ class DmaAccountant
                         [this] { return sketch_.evictions(); });
         reg_->counterFn("obs_attr_records_total", l,
                         [this] { return records_; });
-        reg_->counterFn("obs_attr_ns_total", l,
-                        [this] { return selfNs_; });
         reg_->gaugeFn("flow_topk", l, [this] {
             return static_cast<double>(topK());
         });
@@ -110,98 +101,39 @@ class DmaAccountant
     {
         if (reg_ == nullptr)
             return;
-        const std::uint64_t t0 = timed_ ? nowNs() : 0;
         ++records_;
 
-        if (exact_) {
-            // OCTO_FLOW_TOPK=0: sketch disabled, one exact row per
-            // flow, unbounded — no evictions, no ~other, no error.
-            auto it = exactRows_.find(key);
-            if (it == exactRows_.end()) {
-                it = exactRows_.emplace(key, FlowCell{}).first;
-                it->second.label = label();
-                it->second.row = makeRow("flow", it->second.label);
-            }
-            apply(it->second, bytes, local, ddio_hit);
-        } else {
-            Sketch::Outcome out;
-            Sketch::Entry displaced;
-            Sketch::Entry& e =
-                sketch_.update(key, bytes, out, displaced);
-            switch (out) {
-              case Sketch::Outcome::Updated:
-                break;
-              case Sketch::Outcome::Replaced:
-                fold(displaced.payload);
-                [[fallthrough]];
-              case Sketch::Outcome::Admitted:
-                e.payload.label = label();
-                e.payload.row = makeRow("flow", e.payload.label);
-                break;
-            }
-            apply(e.payload, bytes, local, ddio_hit);
+        Sketch::Outcome out;
+        Sketch::Entry displaced;
+        Sketch::Entry& e = sketch_.update(key, bytes, out, displaced);
+        switch (out) {
+          case Sketch::Outcome::Updated:
+            break;
+          case Sketch::Outcome::Replaced:
+            fold(displaced.payload);
+            [[fallthrough]];
+          case Sketch::Outcome::Admitted:
+            e.payload.label = label();
+            e.payload.row = makeRow("flow", e.payload.label);
+            break;
         }
+        apply(e.payload, bytes, local, ddio_hit);
 
         if (tenant >= 0)
             applyRow(tenantRow(tenant), bytes, local, ddio_hit);
-        if (timed_)
-            selfNs_ += nowNs() - t0;
     }
 
-    /** Resident attribution rows: sketch occupancy (<= topK()), or
-     *  the exact flow count in exact mode. */
-    std::size_t
-    flowCount() const
-    {
-        return exact_ ? exactRows_.size() : sketch_.size();
-    }
+    /** Resident attribution rows: sketch occupancy (<= topK()). */
+    std::size_t flowCount() const { return sketch_.size(); }
 
-    /** Flows displaced from the sketch into the ~other row (always 0
-     *  in exact mode — nothing is ever displaced). */
+    /** Flows displaced from the sketch into the ~other row. */
     std::uint64_t evictions() const { return sketch_.evictions(); }
 
-    /** Sketch capacity; 0 means exact (unbounded) mode. */
-    int
-    topK() const
-    {
-        return exact_ ? 0 : static_cast<int>(sketch_.capacity());
-    }
-
-    /** OCTO_FLOW_TOPK=0 exact mode in effect on this accountant. */
-    bool exactMode() const { return exact_; }
+    /** Sketch capacity. */
+    int topK() const { return static_cast<int>(sketch_.capacity()); }
 
     /** Attribution calls accepted (both sketch and rollup paths). */
     std::uint64_t selfRecords() const { return records_; }
-
-    /** Wall ns spent in record(); 0 unless OCTO_OBS_SELFCOST=1. */
-    std::uint64_t selfNs() const { return selfNs_; }
-
-    /** Force the self-cost timer on/off (benches override the env). */
-    void setSelfTimed(bool on) { timed_ = on; }
-
-    /** Sketch capacity from OCTO_FLOW_TOPK, or kDefaultTopK. */
-    static int
-    defaultTopK()
-    {
-        if (const char* env = std::getenv("OCTO_FLOW_TOPK")) {
-            const int k = std::atoi(env);
-            if (k > 0)
-                return k;
-        }
-        return kDefaultTopK;
-    }
-
-    /** True when OCTO_FLOW_TOPK is exactly "0": disable the sketch and
-     *  keep one exact row per flow, unbounded. Debug scales only —
-     *  state grows with live-flow count, which is the very cost the
-     *  sketch exists to avoid. Garbage values still mean the default
-     *  capacity, not exact mode. */
-    static bool
-    exactRequested()
-    {
-        const char* env = std::getenv("OCTO_FLOW_TOPK");
-        return env != nullptr && std::strcmp(env, "0") == 0;
-    }
 
   private:
     struct Row
@@ -228,22 +160,6 @@ class DmaAccountant
     };
 
     using Sketch = SpaceSaving<FlowCell>;
-
-    static bool
-    envOn(const char* name)
-    {
-        const char* env = std::getenv(name);
-        return env != nullptr && env[0] != '\0' && env[0] != '0';
-    }
-
-    static std::uint64_t
-    nowNs()
-    {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count());
-    }
 
     /** Register one five-counter attribution row keyed {dev, <kind>}.
      *  @p kind is the label key ("flow" or "tenant"). */
@@ -352,14 +268,10 @@ class DmaAccountant
 
     MetricRegistry* reg_;
     std::string dev_;
-    bool exact_;
     Sketch sketch_;
-    std::unordered_map<std::uint64_t, FlowCell> exactRows_;
     Row other_;
     std::unordered_map<int, Row> tenants_;
     std::uint64_t records_ = 0;
-    std::uint64_t selfNs_ = 0;
-    bool timed_;
 };
 
 } // namespace octo::obs

@@ -45,21 +45,21 @@ NetStack::NetStack(topo::Machine& machine, nic::NicDevice& device,
         reg.counterFn("net_steering_expiries", l,
                       [this] { return steeringExpiries_; });
         reg.counterFn("net_tx_queue_overrides", l,
-                      [this] { return txQueueOverrides_.value(); });
+                      [this] { return txQueueOverrides_; });
         reg.counterFn("net_health_resteers", l,
-                      [this] { return healthResteers_.value(); });
+                      [this] { return healthResteers_; });
         reg.counterFn("net_pf_failovers", l,
-                      [this] { return pfFailovers_.value(); });
+                      [this] { return pfFailovers_; });
         reg.counterFn("net_pf_rebalances", l,
-                      [this] { return pfRebalances_.value(); });
+                      [this] { return pfRebalances_; });
         reg.counterFn("net_admin_drains", l,
-                      [this] { return adminDrains_.value(); });
+                      [this] { return adminDrains_; });
         reg.counterFn("net_lost_bytes", l,
-                      [this] { return lostBytes_.value(); });
+                      [this] { return lostBytes_; });
         reg.counterFn("net_reclaimed_bytes", l,
-                      [this] { return reclaimedBytes_.value(); });
+                      [this] { return reclaimedBytes_; });
         reg.counterFn("net_watchdog_polls", l,
-                      [this] { return watchdogPolls_.value(); });
+                      [this] { return watchdogPolls_; });
         obRxBatch_ = &reg.histogram("softirq_rx_batch_frames", l);
         obE2e_ = &reg.histogram("latency_e2e_ns", l);
         tracePid_ = h->pidFor(device_.name());
@@ -143,7 +143,7 @@ NetStack::queueForCore(int core_id, int domain) const
     else if (fallback >= 0)
         pick = fallback;
     if (pick != raw) {
-        txQueueOverrides_.add();
+        ++txQueueOverrides_;
         if (auto* tr = obs::tracer(sim_, obs::kCatSteer)) {
             tr->instant(obs::kCatSteer, "xps_override", tracePid_, pick,
                         sim_.now(),
@@ -421,9 +421,9 @@ NetStack::irqFaultFilter(int qid, bool rx, Tick& delay)
     if (irqDropEvery_ > 0 && (++irqSeen_ % irqDropEvery_) == 0) {
         // The interrupt is lost; the queue's IRQ stays disarmed, so
         // without the watchdog poll it would sit dead until teardown.
-        irqsDropped_.add();
+        ++irqsDropped_;
         sim_.scheduleIn(cfg_.irqWatchdog, [this, qid, rx] {
-            watchdogPolls_.add();
+            ++watchdogPolls_;
             if (rx)
                 softirqRx(qid).detach();
             else
@@ -432,7 +432,7 @@ NetStack::irqFaultFilter(int qid, bool rx, Tick& delay)
         return true;
     }
     if (irqExtraDelay_ > 0) {
-        irqsDelayed_.add();
+        ++irqsDelayed_;
         delay = irqExtraDelay_;
     }
     return false;
@@ -441,8 +441,8 @@ NetStack::irqFaultFilter(int qid, bool rx, Tick& delay)
 void
 NetStack::frameLost(const nic::FiveTuple& flow, std::uint32_t bytes)
 {
-    lostFrames_.add();
-    lostBytes_.add(bytes);
+    ++lostFrames_;
+    lostBytes_ += bytes;
     // Rx drop at our device: `flow` is some socket's incoming flow.
     if (auto it = demux_.find(flow); it != demux_.end()) {
         it->second->lostRxBytes += bytes;
@@ -529,13 +529,13 @@ void
 NetStack::drain(const steer::Endpoint& ep)
 {
     if (ep.isQueue()) {
-        adminDrains_.add();
+        ++adminDrains_;
         adminDrainTask(ep.queue).detach();
         return;
     }
     for (int qid = 0; qid < device_.queueCount(); ++qid) {
         if (device_.queue(qid).pf->id() == ep.pf) {
-            adminDrains_.add();
+            ++adminDrains_;
             adminDrainTask(qid).detach();
         }
     }
@@ -559,7 +559,7 @@ NetStack::drainQueue(int qid)
     const Tick deadline = sim_.now() + cfg_.steerWatchdog;
     while (q.rxReaped < target) {
         if (sim_.now() >= deadline) {
-            steerWatchdogFires_.add();
+            ++steerWatchdogFires_;
             co_return false;
         }
         co_await delay(sim_, fromUs(5));
@@ -583,7 +583,7 @@ NetStack::drainAndRebind(int qid, int pf_idx, std::uint64_t epoch)
         co_return;
     const int old_pf = device_.queue(qid).pf->id();
     device_.rebindQueue(qid, *pf);
-    healthResteers_.add();
+    ++healthResteers_;
     if (auto* tr = obs::tracer(sim_, obs::kCatSteer)) {
         tr->instant(obs::kCatSteer, "health_resteer", tracePid_, qid,
                     sim_.now(),
@@ -653,7 +653,7 @@ NetStack::applyPfEvent(int pf_idx, bool up)
             if (survivor == nullptr || survivor->id() == pf_idx)
                 continue; // total PCIe outage: nothing to steer to
             dev.rebindQueue(qid, *survivor);
-            pfFailovers_.add();
+            ++pfFailovers_;
             if (auto* tr = obs::tracer(sim_, obs::kCatHealth)) {
                 tr->instant(obs::kCatHealth, "pf_failover", tracePid_,
                             qid, sim_.now(),
@@ -672,7 +672,7 @@ NetStack::applyPfEvent(int pf_idx, bool up)
         if (q.homePf->id() != pf_idx || q.pf == q.homePf)
             continue;
         dev.rebindQueue(qid, *q.homePf);
-        pfRebalances_.add();
+        ++pfRebalances_;
         if (auto* tr = obs::tracer(sim_, obs::kCatHealth)) {
             tr->instant(obs::kCatHealth, "pf_rebalance", tracePid_, qid,
                         sim_.now(),
@@ -709,8 +709,8 @@ NetStack::retryWorker()
             s->reclaimedBytes += pending;
             s->txWindow.release(
                 static_cast<std::int64_t>(pending));
-            reclaimedBytes_.add(pending);
-            retryReclaims_.add();
+            reclaimedBytes_ += pending;
+            ++retryReclaims_;
         }
     }
 }
@@ -773,7 +773,6 @@ NetStack::softirqRx(int qid)
         co_await frameCost(comp);
         int frames = 1;
         std::uint32_t merged = comp.frame.payloadBytes;
-        bool last_flag = comp.frame.lastOfMessage;
 
         // GRO: merge immediately-following in-order frames of the same
         // flow into one segment before handing it to the stack.
@@ -788,7 +787,6 @@ NetStack::softirqRx(int qid)
             RxCompletion f = *q.rxCq.tryPop();
             co_await frameCost(f);
             merged += f.frame.payloadBytes;
-            last_flag = f.frame.lastOfMessage;
             ++frames;
         }
 
@@ -812,10 +810,8 @@ NetStack::softirqRx(int qid)
             s->expectedRxSeq = comp.frame.seq + frames;
             s->rxq.push_back(RxSeg{merged, comp.dataLoc, comp.bufNode,
                                    comp.frame.sentAt,
-                                   comp.frame.arrivedAt, last_flag});
+                                   comp.frame.arrivedAt});
             s->rxBytesAvail += merged;
-            if (last_flag)
-                ++s->rxMsgsAvail;
             rxBytesDelivered_.add(merged);
             s->dataReady.notify();
         }

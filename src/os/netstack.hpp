@@ -22,7 +22,6 @@
 #include "nic/device.hpp"
 #include "os/socket.hpp"
 #include "os/thread.hpp"
-#include "sim/stats.hpp"
 #include "sim/task.hpp"
 #include "steer/plane.hpp"
 
@@ -210,7 +209,7 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
     std::uint64_t
     resteersPerformed() const override
     {
-        return healthResteers_.value();
+        return healthResteers_;
     }
 
     /**
@@ -264,45 +263,34 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
     std::uint64_t flowPlacements() const { return flowPlacements_; }
 
     /** Queues failed over to a surviving PF / rebalanced back home. */
-    std::uint64_t pfFailovers() const { return pfFailovers_.value(); }
-    std::uint64_t pfRebalances() const { return pfRebalances_.value(); }
+    std::uint64_t pfFailovers() const { return pfFailovers_; }
+    std::uint64_t pfRebalances() const { return pfRebalances_; }
 
     /** Health-driven weighted queue re-steers (each resteerQueue call
      *  that actually rebound a queue). */
-    std::uint64_t healthResteers() const { return healthResteers_.value(); }
+    std::uint64_t healthResteers() const { return healthResteers_; }
 
     /** Tx posts redirected off a down-weighted PF by the health-aware
      *  XPS pick. */
-    std::uint64_t
-    txQueueOverrides() const
-    {
-        return txQueueOverrides_.value();
-    }
+    std::uint64_t txQueueOverrides() const { return txQueueOverrides_; }
 
     /** Administrative endpoint drains requested through the plane. */
-    std::uint64_t adminDrains() const { return adminDrains_.value(); }
+    std::uint64_t adminDrains() const { return adminDrains_; }
 
     /** Blocking driver operations cut short by the steering watchdog
      *  (stalled queue refused to drain in time). */
-    std::uint64_t
-    steerWatchdogFires() const
-    {
-        return steerWatchdogFires_.value();
-    }
+    std::uint64_t steerWatchdogFires() const { return steerWatchdogFires_; }
 
     /** Device-loss accounting (see Socket loss ledger). */
-    std::uint64_t lostFrames() const { return lostFrames_.value(); }
-    std::uint64_t lostBytes() const { return lostBytes_.value(); }
-    std::uint64_t reclaimedBytes() const
-    {
-        return reclaimedBytes_.value();
-    }
-    std::uint64_t retryReclaims() const { return retryReclaims_.value(); }
+    std::uint64_t lostFrames() const { return lostFrames_; }
+    std::uint64_t lostBytes() const { return lostBytes_; }
+    std::uint64_t reclaimedBytes() const { return reclaimedBytes_; }
+    std::uint64_t retryReclaims() const { return retryReclaims_; }
 
     /** Interrupt-fault accounting. */
-    std::uint64_t irqsDelayed() const { return irqsDelayed_.value(); }
-    std::uint64_t irqsDropped() const { return irqsDropped_.value(); }
-    std::uint64_t watchdogPolls() const { return watchdogPolls_.value(); }
+    std::uint64_t irqsDelayed() const { return irqsDelayed_; }
+    std::uint64_t irqsDropped() const { return irqsDropped_; }
+    std::uint64_t watchdogPolls() const { return watchdogPolls_; }
 
   private:
     sim::Task<> softirqRx(int qid);
@@ -374,19 +362,19 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
     bool weightedSteering_ = false;
     std::vector<double> txPfWeights_;
     std::unordered_map<int, std::uint64_t> resteerEpoch_;
-    sim::Counter pfFailovers_;
-    sim::Counter pfRebalances_;
-    sim::Counter healthResteers_;
-    mutable sim::Counter txQueueOverrides_;
-    sim::Counter adminDrains_;
-    sim::Counter steerWatchdogFires_;
-    sim::Counter lostFrames_;
-    sim::Counter lostBytes_;
-    sim::Counter reclaimedBytes_;
-    sim::Counter retryReclaims_;
-    sim::Counter irqsDelayed_;
-    sim::Counter irqsDropped_;
-    sim::Counter watchdogPolls_;
+    std::uint64_t pfFailovers_ = 0;
+    std::uint64_t pfRebalances_ = 0;
+    std::uint64_t healthResteers_ = 0;
+    mutable std::uint64_t txQueueOverrides_ = 0;
+    std::uint64_t adminDrains_ = 0;
+    std::uint64_t steerWatchdogFires_ = 0;
+    std::uint64_t lostFrames_ = 0;
+    std::uint64_t lostBytes_ = 0;
+    std::uint64_t reclaimedBytes_ = 0;
+    std::uint64_t retryReclaims_ = 0;
+    std::uint64_t irqsDelayed_ = 0;
+    std::uint64_t irqsDropped_ = 0;
+    std::uint64_t watchdogPolls_ = 0;
 
     // Observability (null / zero without an attached obs::Hub).
     obs::Histogram* obRxBatch_ = nullptr; ///< Frames per softirq drain.

@@ -25,7 +25,6 @@ struct RxSeg
     sim::Tick sentAt = 0;
     sim::Tick arrivedAt = 0; ///< NIC wire arrival of the segment's
                              ///< first frame (e2e latency span open).
-    bool lastOfMessage = false;
 };
 
 /**
@@ -71,7 +70,6 @@ class Socket
     /** Receive queue (socket buffer). */
     std::deque<RxSeg> rxq;
     std::uint64_t rxBytesAvail = 0;
-    std::uint64_t rxMsgsAvail = 0;
     sim::Signal dataReady;
 
     bool tso = true;

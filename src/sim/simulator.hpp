@@ -25,9 +25,8 @@
  *    seq-sorted at dispatch, so cascading can never reorder same-tick
  *    events; the golden-report equivalence tests pin this byte-for-byte.
  *  - Domain tags: every event carries a Domain{node, device}; dispatch
- *    counts per-domain events (the `sim_events_per_s` observability
- *    tracks) and marks the partition boundary for a future
- *    conservative-lookahead parallel DES.
+ *    counts per-domain events (domainEvents()) and marks the partition
+ *    boundary for a future conservative-lookahead parallel DES.
  */
 #pragma once
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics for the simulator: counters, accumulators, and
- * sample distributions with percentile queries.
+ * Lightweight statistics for the simulator: accumulators and sample
+ * distributions with percentile queries.
  */
 #pragma once
 
@@ -13,18 +13,6 @@
 #include <vector>
 
 namespace octo::sim {
-
-/** Monotonic event/byte counter. */
-class Counter
-{
-  public:
-    void add(std::uint64_t n = 1) { value_ += n; }
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /** Streaming min/max/mean accumulator. */
 class Accumulator

@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the periodic telemetry sampler and the run report: sampling
- * cadence and rate math, counter-track JSON shape, report determinism,
- * the read-only guarantee (simulated results are bit-identical with the
- * sampler on or off), and the end-to-end latency split between the
- * remote and IOctopus presets.
+ * cadence, start baseline and rate math, long-format CSV, counter-track
+ * JSON shape, report determinism, the read-only guarantee (simulated
+ * results are bit-identical with the sampler on or off), and the
+ * end-to-end latency split between the remote and IOctopus presets.
  */
+#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -28,7 +29,7 @@ TEST(Sampler, CadenceAndRateMath)
     const sim::Tick period = sim::fromUs(100);
     Sampler s(sim, hub, report, period);
 
-    std::uint64_t bytes = 0;
+    std::uint64_t bytes = 123456; // pre-start history: must not count
     std::uint64_t events = 0;
     s.watchRate("r_gbps", [&] { return bytes; });
     s.watchRate("r_per_s", [&] { return events; },
@@ -56,11 +57,29 @@ TEST(Sampler, CadenceAndRateMath)
     for (const SeriesData& sd : run.series)
         ASSERT_EQ(sd.values.size(), 10u);
     // 1250 B per 100 us window.
+    EXPECT_DOUBLE_EQ(run.series[0].values[0],
+                     sim::toGbps(1250, period));
     EXPECT_DOUBLE_EQ(run.series[0].values[4],
                      sim::toGbps(1250, period));
     // 3 events per 100 us window = 30k/s.
     EXPECT_DOUBLE_EQ(run.series[1].values[4], 30000.0);
     EXPECT_DOUBLE_EQ(run.series[2].values[4], 2.5);
+
+    // Long-format CSV: a header, then one row per series per sample.
+    std::FILE* f = std::tmpfile();
+    ASSERT_NE(f, nullptr);
+    report.writeCsv(f);
+    std::rewind(f);
+    char line[128];
+    ASSERT_NE(std::fgets(line, sizeof line, f), nullptr);
+    EXPECT_STREQ(line, "run,series,unit,time_ms,value\n");
+    ASSERT_NE(std::fgets(line, sizeof line, f), nullptr);
+    EXPECT_STREQ(line, ",r_gbps,gbps,0.100,0.1\n");
+    int rows = 1;
+    while (std::fgets(line, sizeof line, f) != nullptr)
+        ++rows;
+    EXPECT_EQ(rows, 30);
+    std::fclose(f);
 }
 
 TEST(Sampler, EmitsCounterTrackEvents)

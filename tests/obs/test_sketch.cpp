@@ -7,7 +7,6 @@
  */
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,7 +18,8 @@
 #include "obs/flow_sketch.hpp"
 #include "obs/hub.hpp"
 #include "sim/rng.hpp"
-#include "workloads/netperf.hpp"
+#include "sim/sync.hpp"
+#include "sim/task.hpp"
 
 namespace octo::obs {
 namespace {
@@ -203,123 +203,73 @@ TEST(DmaAccountant, MetaInstrumentsTrackSketchState)
               1u);
     EXPECT_EQ(reg.findCounter("obs_attr_records_total", dev)->value(),
               3u);
-    // Self-cost ns stays zero unless OCTO_OBS_SELFCOST opts in — wall
-    // time must never leak into deterministic exports by default.
-    EXPECT_EQ(acc.selfNs(), 0u);
     EXPECT_EQ(acc.selfRecords(), 3u);
 }
 
-/** 2 ms Rx run of the Ioctopus preset; returns delivered bytes. */
+constexpr int kFlows = 256;
+
+/** Closed-loop raw UDP sender cycling over kFlows distinct flows. */
+sim::Task<>
+flowCycler(core::Testbed& tb, os::ThreadCtx t, sim::Semaphore& inflight)
+{
+    nic::FiveTuple f;
+    f.srcIp = core::Testbed::kClientIp;
+    f.dstIp = core::Testbed::kServerIp;
+    f.dstPort = 5001;
+    f.proto = nic::Proto::Udp;
+    for (int i = 0;; i = (i + 1) % kFlows) {
+        f.srcPort = static_cast<std::uint16_t>(1000 + i);
+        co_await inflight.acquire();
+        co_await tb.clientStack().rawPost(t, f, 1024, inflight);
+    }
+}
+
+/** 2 ms of the remote preset carrying kFlows UDP flows, more than the
+ *  default K, so the server NIC's sketch churns. Returns the frames
+ *  the server NIC received. */
 std::uint64_t
-runIoctopus(Hub* hub)
+runManyFlows(Hub* hub)
 {
     core::TestbedConfig cfg;
-    cfg.mode = core::ServerMode::Ioctopus;
+    cfg.mode = core::ServerMode::Remote;
     cfg.hub = hub;
     core::Testbed tb(cfg);
-    auto server_t = tb.serverThread(tb.workNode(), 0);
-    auto client_t = tb.clientThread(0);
-    workloads::NetperfStream stream(tb, server_t, client_t, 16384,
-                                    workloads::StreamDir::ServerRx);
-    stream.start();
+    sim::Semaphore inflight(tb.sim(), 64);
+    sim::Task<> sender = flowCycler(tb, tb.clientThread(0), inflight);
     tb.runFor(sim::fromMs(2));
-    const std::uint64_t delivered = stream.bytesDelivered();
-    if (hub != nullptr)
+
+    nic::NicDevice& dev = tb.serverNic();
+    std::uint64_t frames = 0;
+    for (int q = 0; q < dev.queueCount(); ++q)
+        frames += dev.queue(q).rxFrames.total();
+    if (hub != nullptr) {
+        EXPECT_GT(dev.flows().evictions(), 0u)
+            << "test must exercise churn";
         hub->metrics().freeze();
-    return delivered;
-}
-
-TEST(DmaAccountant, SketchSizeDoesNotPerturbResults)
-{
-    // The same run with a tiny sketch (heavy eviction), a huge sketch
-    // (old unbounded behavior), and no hub at all must produce
-    // bit-identical simulated outcomes.
-    setenv("OCTO_FLOW_TOPK", "1", 1);
-    Hub tiny_hub;
-    const std::uint64_t tiny = runIoctopus(&tiny_hub);
-    setenv("OCTO_FLOW_TOPK", "1048576", 1);
-    Hub huge_hub;
-    const std::uint64_t huge = runIoctopus(&huge_hub);
-    unsetenv("OCTO_FLOW_TOPK");
-    const std::uint64_t off = runIoctopus(nullptr);
-
-    EXPECT_GT(off, 0u);
-    EXPECT_EQ(off, tiny);
-    EXPECT_EQ(off, huge);
-}
-
-TEST(DmaAccountant, TopkZeroDisablesSketchForExactRows)
-{
-    // OCTO_FLOW_TOPK=0 opts out of the sketch entirely: one exact row
-    // per flow, no evictions, no ~other folding — and conservation
-    // holds trivially because nothing is ever displaced.
-    setenv("OCTO_FLOW_TOPK", "0", 1);
-    Hub hub;
-    DmaAccountant acc(&hub, "nic0");
-    unsetenv("OCTO_FLOW_TOPK");
-
-    ASSERT_TRUE(acc.exactMode());
-    EXPECT_EQ(acc.topK(), 0);
-
-    constexpr int kFlows = 500;
-    std::uint64_t local_ref = 0, remote_ref = 0;
-    sim::Rng rng(11);
-    for (int i = 0; i < 5000; ++i) {
-        const std::uint64_t key = rng.below(kFlows);
-        const std::uint64_t bytes = 64 + rng.below(1400);
-        const bool local = rng.chance(0.5);
-        acc.record(key, [key] { return "f" + std::to_string(key); },
-                   bytes, local, local);
-        (local ? local_ref : remote_ref) += bytes;
     }
-
-    // Every live key owns its own row; nothing churned.
-    EXPECT_EQ(acc.flowCount(), static_cast<std::size_t>(kFlows));
-    EXPECT_EQ(acc.evictions(), 0u);
-
-    MetricRegistry& reg = hub.metrics();
-    const Labels dev = {{"dev", "nic0"}};
-    EXPECT_EQ(reg.sumCounters("flow_dma_local_bytes", dev), local_ref);
-    EXPECT_EQ(reg.sumCounters("flow_dma_remote_bytes", dev),
-              remote_ref);
-    EXPECT_EQ(reg.sumCounters("flow_dma_local_bytes",
-                              {{"dev", "nic0"}, {"flow", "~other"}}),
-              0u)
-        << "exact mode must never fold into ~other";
-    // The meta gauges advertise the mode: unbounded rows, capacity 0.
-    EXPECT_EQ(reg.findGauge("flow_rows", dev)->value(),
-              static_cast<double>(kFlows));
-    EXPECT_EQ(reg.findGauge("flow_topk", dev)->value(), 0.0);
-}
-
-TEST(DmaAccountant, TopkGarbageStillMeansDefaultCapacity)
-{
-    // Only the literal "0" selects exact mode; unparsable values fall
-    // back to the built-in capacity instead of silently unbounding.
-    setenv("OCTO_FLOW_TOPK", "bogus", 1);
-    Hub hub;
-    DmaAccountant acc(&hub, "nic0");
-    unsetenv("OCTO_FLOW_TOPK");
-    EXPECT_FALSE(acc.exactMode());
-    EXPECT_EQ(acc.topK(), DmaAccountant::kDefaultTopK);
+    return frames;
 }
 
 TEST(DmaAccountant, FlowRowsMatchPfRowsOnTestbed)
 {
-    // Conservation at system grain: the NIC's flow-grain byte rows
-    // (including ~other) must exactly equal its PF-grain rows, even
-    // with a sketch small enough to churn.
-    setenv("OCTO_FLOW_TOPK", "2", 1);
+    // Conservation at system grain: with the default sketch churning,
+    // the NIC's flow-grain byte rows (including ~other) must exactly
+    // equal its PF-grain rows — and attribution must not perturb the
+    // simulated run.
     Hub hub;
-    runIoctopus(&hub);
-    unsetenv("OCTO_FLOW_TOPK");
+    const std::uint64_t frames = runManyFlows(&hub);
 
     MetricRegistry& reg = hub.metrics();
     const Labels nic = {{"dev", "octoNIC"}};
-    EXPECT_EQ(reg.sumCounters("flow_dma_local_bytes", nic),
-              reg.sumCounters("dma_local_bytes", nic));
-    EXPECT_EQ(reg.sumCounters("flow_dma_remote_bytes", nic),
-              reg.sumCounters("dma_remote_bytes", nic));
+    const std::uint64_t local = reg.sumCounters("dma_local_bytes", nic);
+    const std::uint64_t remote = reg.sumCounters("dma_remote_bytes", nic);
+    EXPECT_GT(local, 0u);
+    EXPECT_GT(remote, 0u);
+    EXPECT_EQ(reg.sumCounters("flow_dma_local_bytes", nic), local);
+    EXPECT_EQ(reg.sumCounters("flow_dma_remote_bytes", nic), remote);
+
+    EXPECT_GT(frames, 0u);
+    EXPECT_EQ(runManyFlows(nullptr), frames);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for counters, accumulators, distributions, and RNG.
+ * Unit tests for accumulators, distributions, and RNG.
  */
 #include <cmath>
 
@@ -11,16 +11,6 @@
 
 namespace octo::sim {
 namespace {
-
-TEST(Counter, AddsAndResets)
-{
-    Counter c;
-    c.add();
-    c.add(41);
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(Accumulator, TracksMoments)
 {

@@ -46,21 +46,7 @@ UNIT_LABEL = {
     "gbps": "throughput [Gb/s]",
     "per_s": "rate [1/s]",
     "value": "value",
-    "flow": "flow attribution [rows | evictions/s]",
 }
-
-
-def series_group(name, unit):
-    """Axis group for one series: flow-attribution tracks
-    (``flow_rows[...]``, ``flow_evictions_per_s[...]``) share a
-    dedicated subplot regardless of their native unit; everything else
-    groups by unit as before. Reports predating the flow tracks simply
-    never produce the extra axis."""
-    if name.startswith("flow_rows") or name.startswith(
-        "flow_evictions"
-    ):
-        return "flow"
-    return unit
 
 
 def load_report(path):
@@ -90,7 +76,7 @@ def collect(paths):
                 label = f"{run.get('run', '?')}:{name}"
                 if len(paths) > 1:
                     label = f"{path}:{label}"
-                unit = series_group(name, series.get("unit", "value"))
+                unit = series.get("unit", "value")
                 n = min(len(times), len(values))
                 by_unit.setdefault(unit, []).append(
                     (label, times[:n], values[:n])
