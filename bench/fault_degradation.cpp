@@ -138,9 +138,9 @@ runTimeline(bool monitored, bool print, ObsSession* obs = nullptr)
         const auto& stack = tb.serverStack();
         std::printf("# resteers=%llu watchdog-fires=%llu",
                     static_cast<unsigned long long>(
-                        stack.healthResteers()),
+                        stack.resteersPerformed()),
                     static_cast<unsigned long long>(
-                        stack.steerWatchdogFires()));
+                        stack.watchdogFires()));
         if (tb.monitor() != nullptr)
             std::printf(" verdicts=%llu samples=%llu",
                         static_cast<unsigned long long>(

@@ -145,7 +145,7 @@ runTimeline(bool monitored, bool print, ObsSession* obs,
                     static_cast<unsigned long long>(
                         tb.serverStack().txQueueOverrides()),
                     static_cast<unsigned long long>(
-                        tb.serverStack().healthResteers()));
+                        tb.serverStack().resteersPerformed()));
 
         if (monitored)
             timeline.writeCsvFile("tx_retention.csv");

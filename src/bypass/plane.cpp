@@ -9,7 +9,6 @@ namespace octo::bypass {
 
 using mem::DataLoc;
 using sim::delay;
-using sim::fromUs;
 
 namespace {
 /** Trace lane collecting per-packet e2e spans (same convention as the
@@ -19,37 +18,11 @@ constexpr int kE2eTid = 999;
 
 // ------------------------------------------------------------- PollPort
 
-PollPort::PollPort(PollPlane& plane, int idx, topo::Core& core, int qid)
-    : plane_(plane), idx_(idx), qid_(qid), core_(core),
+PollPort::PollPort(PollPlane& plane, topo::Core& core, int qid)
+    : plane_(plane), qid_(qid), core_(core),
       rxFrames_(core.sim()), rxBytes_(core.sim()),
       txFrames_(core.sim()), txBytes_(core.sim())
 {
-}
-
-Task<>
-PollPort::cqeRead(DataLoc cqe_loc, int buf_node)
-{
-    topo::Machine& m = plane_.machine_;
-    const auto& cal = m.cal();
-    nic::NicQueue& q = plane_.device_.queue(qid_);
-    if (cqe_loc == DataLoc::Llc && buf_node == core_.node()) {
-        co_await delay(core_.sim(), cal.llcLatency);
-    } else if (cqe_loc == DataLoc::Llc) {
-        co_await delay(core_.sim(), cal.qpiLatency + cal.llcLatency +
-                                        cal.rxRemoteDescMiss);
-    } else {
-        // Device-posted line in DRAM: the dependent read serializes
-        // behind the device's in-flight writes on the interconnect.
-        // Bypass removes no part of this — it is pure memory system.
-        const Tick backlog =
-            q.pf->node() == core_.node()
-                ? 0
-                : std::min(m.qpi(q.pf->node(), core_.node()).backlog(),
-                           cal.remoteMissWaitCap);
-        m.dram(buf_node).reserve(64ull * cal.cqeLines);
-        co_await delay(core_.sim(), cal.dramLatency + cal.qpiLatency +
-                                        backlog + cal.rxRemoteDescMiss);
-    }
 }
 
 Task<int>
@@ -69,7 +42,7 @@ PollPort::rxBurst(RxPacket* out, int max)
         if (!oc)
             break;
         const nic::RxCompletion& c = *oc;
-        co_await cqeRead(c.cqeLoc, c.bufNode);
+        co_await pl.cqeRead(q, c.cqeLoc, c.bufNode, core_);
         co_await delay(pl.sim_, cal.bypassRxPerFrame);
         out[n].frame = c.frame;
         out[n].loc = c.dataLoc;
@@ -225,7 +198,7 @@ PollPort::harvestTx(int max)
         auto oc = q.txCq.tryPop();
         if (!oc)
             break;
-        co_await cqeRead(oc->cqeLoc, q.bufNode);
+        co_await pl.cqeRead(q, oc->cqeLoc, q.bufNode, core_);
         co_await delay(pl.sim_, cal.bypassTxCompletion);
         if (oc->desc.completionSem != nullptr)
             oc->desc.completionSem->release();
@@ -256,7 +229,7 @@ PollPort::freePacket(const RxPacket& p)
 
 PollPlane::PollPlane(topo::Machine& machine, nic::NicDevice& device,
                      BypassConfig cfg)
-    : machine_(machine), device_(device), cfg_(cfg), sim_(machine.sim()),
+    : nic::QueuePlane(machine, device), cfg_(cfg),
       pool_(machine.sim(), device.name() + ".pool"),
       flows_(obs::hub(machine.sim()), device.name() + ".poll")
 {
@@ -266,9 +239,10 @@ PollPlane::PollPlane(topo::Machine& machine, nic::NicDevice& device,
         const obs::Labels l = {{"dev", device_.name()}};
         reg.counterFn("bypass_lost_bytes", l,
                       [this] { return lostBytes_; });
-        reg.counterFn("bypass_resteers", l, [this] { return resteers_; });
+        reg.counterFn("bypass_resteers", l,
+                      [this] { return resteersPerformed(); });
         reg.counterFn("bypass_admin_drains", l,
-                      [this] { return adminDrains_; });
+                      [this] { return adminDrains(); });
         obRxBurst_ = &reg.histogram("bypass_rx_burst_frames", l);
         obTxBurst_ = &reg.histogram("bypass_tx_burst_frames", l);
         obOccupancy_ = &reg.histogram("bypass_poll_occupancy_pct", l);
@@ -300,8 +274,8 @@ PollPlane::addPort(topo::Core& core, int qid)
     }
 
     const int idx = static_cast<int>(ports_.size());
-    ports_.push_back(std::unique_ptr<PollPort>(
-        new PollPort(*this, idx, core, qid)));
+    ports_.push_back(
+        std::unique_ptr<PollPort>(new PollPort(*this, core, qid)));
     queuePort_[qid] = idx;
     if (obs::Hub* h = obs::hub(sim_)) {
         const obs::Labels l = {{"dev", device_.name()},
@@ -341,22 +315,8 @@ PollPlane::placeFlow(const nic::FiveTuple& flow, int qid)
         return false; // nobody polls that queue — frames would rot
     if (device_.classify(flow) == qid)
         return true;
-    ++flowPlacements_;
     device_.steerFlow(flow, qid);
     return true;
-}
-
-void
-PollPlane::unplaceFlow(const nic::FiveTuple& flow)
-{
-    device_.unsteerFlow(flow);
-}
-
-bool
-PollPlane::queueDmaLocal(int qid) const
-{
-    const nic::NicQueue& q = device_.queue(qid);
-    return q.pf->linkUp() && q.pf->node() == q.bufNode;
 }
 
 std::uint64_t
@@ -408,173 +368,7 @@ void
 PollPlane::frameLost(const nic::FiveTuple& flow, std::uint32_t bytes)
 {
     (void)flow;
-    ++lostFrames_;
     lostBytes_ += bytes;
-}
-
-steer::EndpointTelemetry
-PollPlane::telemetry(const steer::Endpoint& ep) const
-{
-    steer::EndpointTelemetry t;
-    nic::NicDevice& dev = device_;
-    if (ep.isPf()) {
-        const pcie::PciFunction& pf = dev.function(ep.pf);
-        t.linkUp = pf.linkUp();
-        t.bwFraction = pf.bwFraction();
-        t.nominalGbps = pf.nominalGbps();
-        t.errors = pf.correctableErrors() + pf.uncorrectableErrors() +
-                   dev.pfDeadDrops(ep.pf) + dev.pfTxAborts(ep.pf);
-        t.stalls = 0; // queue grain judges stalls (as in the netstack)
-        t.currentPf = ep.pf;
-        t.homePf = ep.pf;
-        t.node = pf.node();
-        return t;
-    }
-    const nic::NicQueue& q = dev.queue(ep.queue);
-    t.linkUp = q.pf->linkUp();
-    t.impaired =
-        q.stalledUntil > sim_.now() || q.poisonedUntil > sim_.now();
-    t.bwFraction = t.impaired ? 0.0 : 1.0;
-    t.nominalGbps = q.pf->nominalGbps();
-    t.errors = q.poisonEvents;
-    t.stalls = q.stallEvents;
-    t.currentPf = q.pf->id();
-    t.homePf = q.homePf->id();
-    t.node = q.irqCore->node();
-    return t;
-}
-
-void
-PollPlane::resteer(const steer::Endpoint& ep, int target_pf)
-{
-    if (ep.isQueue()) {
-        resteerQueue(ep.queue, target_pf);
-        return;
-    }
-    for (int qid = 0; qid < device_.queueCount(); ++qid) {
-        if (device_.queue(qid).pf->id() == ep.pf)
-            resteerQueue(qid, target_pf);
-    }
-}
-
-void
-PollPlane::drain(const steer::Endpoint& ep)
-{
-    if (ep.isQueue()) {
-        ++adminDrains_;
-        adminDrainTask(ep.queue).detach();
-        return;
-    }
-    for (int qid = 0; qid < device_.queueCount(); ++qid) {
-        if (device_.queue(qid).pf->id() == ep.pf) {
-            ++adminDrains_;
-            adminDrainTask(qid).detach();
-        }
-    }
-}
-
-void
-PollPlane::resteerQueue(int qid, int pf_idx)
-{
-    const std::uint64_t epoch = ++resteerEpoch_[qid];
-    drainAndRebind(qid, pf_idx, epoch).detach();
-}
-
-Task<>
-PollPlane::adminDrainTask(int qid)
-{
-    co_await drainQueue(qid);
-}
-
-Task<bool>
-PollPlane::drainQueue(int qid)
-{
-    // Same evacuation discipline as the kernel stack: wait for the
-    // completions already posted behind the old binding to be reaped
-    // (here: harvested by the application's own poll loop), bounded by
-    // the watchdog when the poller is wedged or absent.
-    nic::NicQueue& q = device_.queue(qid);
-    const std::uint64_t target = q.rxReaped + q.rxCq.size();
-    const Tick deadline = sim_.now() + cfg_.steerWatchdog;
-    while (q.rxReaped < target) {
-        if (sim_.now() >= deadline) {
-            ++watchdogFires_;
-            co_return false;
-        }
-        co_await delay(sim_, fromUs(5));
-    }
-    co_return true;
-}
-
-Task<>
-PollPlane::drainAndRebind(int qid, int pf_idx, std::uint64_t epoch)
-{
-    // Firmware RPC reprogramming the queue context; the poller keeps
-    // harvesting throughout — only the DMA path moves.
-    co_await delay(sim_, machine_.cal().arfsUpdateDelay);
-    if (resteerEpoch_[qid] != epoch)
-        co_return; // superseded by a newer verdict
-    co_await drainQueue(qid);
-    if (resteerEpoch_[qid] != epoch)
-        co_return;
-    pcie::PciFunction* pf = &device_.function(pf_idx);
-    if (device_.queue(qid).pf == pf)
-        co_return;
-    const int old_pf = device_.queue(qid).pf->id();
-    device_.rebindQueue(qid, *pf);
-    ++resteers_;
-    if (auto* tr = obs::tracer(sim_, obs::kCatSteer)) {
-        tr->instant(obs::kCatSteer, "health_resteer", tracePid_, qid,
-                    sim_.now(),
-                    {{"qid", qid}, {"from_pf", old_pf},
-                     {"to_pf", pf_idx}});
-    }
-}
-
-sim::Task<bool>
-PollPlane::probe(int pf_idx)
-{
-    // Post one tiny descriptor through a queue currently bound to the
-    // PF under probation and self-harvest its completion: control-path
-    // traffic only, no application flow is steered onto the endpoint
-    // until the probe passes.
-    int qid = -1;
-    for (int q = 0; q < device_.queueCount(); ++q) {
-        if (device_.queue(q).pf->id() == pf_idx) {
-            qid = q;
-            break;
-        }
-    }
-    if (qid < 0 || !device_.function(pf_idx).linkUp())
-        co_return false;
-    const std::uint64_t aborts0 = device_.pfTxAborts(pf_idx);
-    sim::Semaphore done(sim_, 0);
-    nic::NicQueue& q = device_.queue(qid);
-    nic::TxDesc d;
-    d.flow.srcPort = 1; // unmatched control flow: peer discards it
-    d.flow.dstPort = 1;
-    d.bytes = 64;
-    d.skbNode = q.bufNode;
-    d.loc = DataLoc::Llc;
-    d.fastPath = true;
-    d.probe = true;
-    d.completionSem = &done;
-    d.sentAt = sim_.now();
-    co_await device_.postTx(qid, d);
-    const Tick deadline = sim_.now() + cfg_.steerWatchdog;
-    while (!done.tryAcquire()) {
-        if (sim_.now() >= deadline)
-            co_return false;
-        // Control-path harvest: release any completions (including
-        // ours) so the probe resolves even on an otherwise idle port.
-        while (auto oc = q.txCq.tryPop()) {
-            if (oc->desc.completionSem != nullptr)
-                oc->desc.completionSem->release();
-        }
-        co_await delay(sim_, fromUs(5));
-    }
-    co_return device_.pfTxAborts(pf_idx) == aborts0 &&
-        device_.function(pf_idx).linkUp();
 }
 
 } // namespace octo::bypass

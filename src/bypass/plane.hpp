@@ -21,11 +21,11 @@
  * from ~1.5 us to tens of ns, that memory term *dominates*, which is
  * why the remote penalty survives bypass and PF steering still pays.
  *
- * The plane implements steer::SteerablePlane with the same queue-grain
- * telemetry and drain-then-rebind discipline as os::NetStack, so one
- * HealthMonitor judges polled queues exactly like interrupt-driven
- * ones. Rebinds are transparent to the poller: the port keeps
- * harvesting the same rings while their DMA moves behind another PF.
+ * The plane derives from nic::QueuePlane, the steering plane and CQE
+ * read os::NetStack also derives from, so one HealthMonitor judges
+ * polled queues exactly like interrupt-driven ones with the same code.
+ * Rebinds are transparent to the poller: the port keeps harvesting the
+ * same rings while their DMA moves behind another PF.
  */
 #pragma once
 
@@ -37,11 +37,11 @@
 
 #include "bypass/mempool.hpp"
 #include "nic/device.hpp"
+#include "nic/queue_plane.hpp"
 #include "obs/dma.hpp"
 #include "obs/sharded.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
-#include "steer/plane.hpp"
 #include "topo/machine.hpp"
 
 namespace octo::obs {
@@ -63,9 +63,6 @@ struct BypassConfig
      *  harvested buffers the application may hold before Rx-ring
      *  refills start failing. */
     int extraBufsPerPort = 1024;
-
-    /** Drain watchdog bound (same role as NetStack's steerWatchdog). */
-    Tick steerWatchdog = sim::fromMs(5);
 };
 
 /** One harvested packet: the frame plus its zero-copy buffer. The
@@ -139,15 +136,9 @@ class PollPort
   private:
     friend class PollPlane;
 
-    PollPort(PollPlane& plane, int idx, topo::Core& core, int qid);
-
-    /** Read one device-written CQE line: LLC hit, cache-to-cache
-     *  forward, or DRAM miss behind the device's posted writes — the
-     *  identical residency model the softirq pays. */
-    Task<> cqeRead(mem::DataLoc cqe_loc, int buf_node);
+    PollPort(PollPlane& plane, topo::Core& core, int qid);
 
     PollPlane& plane_;
-    int idx_;
     int qid_;
     topo::Core& core_;
 
@@ -165,7 +156,7 @@ class PollPort
 };
 
 /** The polled datapath over one NIC. */
-class PollPlane : public nic::NicSink, public steer::SteerablePlane
+class PollPlane : public nic::NicSink, public nic::QueuePlane
 {
   public:
     PollPlane(topo::Machine& machine, nic::NicDevice& device,
@@ -207,10 +198,7 @@ class PollPlane : public nic::NicSink, public steer::SteerablePlane
     std::uint64_t rxFramesTotal() const;
     std::uint64_t txFramesTotal() const;
     std::uint64_t emptyPollsTotal() const;
-    std::uint64_t lostFrames() const { return lostFrames_; }
     std::uint64_t lostBytes() const { return lostBytes_; }
-    std::uint64_t adminDrains() const { return adminDrains_; }
-    std::uint64_t watchdogFires() const { return watchdogFires_; }
 
     // -------------------------------------------------------- NicSink
     /** Polled mode never raises interrupts; these stay unreachable
@@ -221,68 +209,22 @@ class PollPlane : public nic::NicSink, public steer::SteerablePlane
     void frameLost(const nic::FiveTuple& flow,
                    std::uint32_t bytes) override;
 
-    // ------------------------------------------------- SteerablePlane
     const char* planeName() const override { return "bypass"; }
-    sim::Simulator& planeSim() override { return sim_; }
-    int pfCount() const override { return device_.functionCount(); }
-    int
-    steerableQueueCount() const override
-    {
-        return device_.queueCount();
-    }
-    steer::EndpointTelemetry
-    telemetry(const steer::Endpoint& ep) const override;
-    void resteer(const steer::Endpoint& ep, int target_pf) override;
-    void drain(const steer::Endpoint& ep) override;
-    void setWeightedSteering(bool on) override { weighted_ = on; }
-    void
-    applyPfWeights(const std::vector<double>& weights) override
-    {
-        pfWeights_ = weights;
-    }
-    sim::Task<bool> probe(int pf) override;
-    std::uint64_t resteersPerformed() const override { return resteers_; }
 
     // --------------------------- flow-grain placement (accmon schemes)
     /** Scheme-driven placement: a direct rule write (a bypass app owns
      *  its steering table — no kernel worker to model). */
     bool placeFlow(const nic::FiveTuple& flow, int qid) override;
-    void unplaceFlow(const nic::FiveTuple& flow) override;
-    int
-    flowQueue(const nic::FiveTuple& flow) const override
-    {
-        return device_.classify(flow);
-    }
-    bool queueDmaLocal(int qid) const override;
-
-    /** Scheme-driven placeFlow() rules written. */
-    std::uint64_t flowPlacements() const { return flowPlacements_; }
 
   private:
     friend class PollPort;
 
-    void resteerQueue(int qid, int pf_idx);
-    Task<> drainAndRebind(int qid, int pf_idx, std::uint64_t epoch);
-    Task<bool> drainQueue(int qid);
-    Task<> adminDrainTask(int qid);
-
-    topo::Machine& machine_;
-    nic::NicDevice& device_;
     BypassConfig cfg_;
-    sim::Simulator& sim_;
     Mempool pool_;
 
     std::vector<std::unique_ptr<PollPort>> ports_;
     std::unordered_map<int, int> queuePort_;
-    std::unordered_map<int, std::uint64_t> resteerEpoch_;
-    bool weighted_ = false;
-    std::vector<double> pfWeights_;
 
-    std::uint64_t resteers_ = 0;
-    std::uint64_t flowPlacements_ = 0;
-    std::uint64_t adminDrains_ = 0;
-    std::uint64_t watchdogFires_ = 0;
-    std::uint64_t lostFrames_ = 0;
     std::uint64_t lostBytes_ = 0;
 
     obs::DmaAccountant flows_; ///< Flow-grain harvest attribution.
@@ -291,7 +233,6 @@ class PollPlane : public nic::NicSink, public steer::SteerablePlane
     obs::Histogram* obTxBurst_ = nullptr;
     obs::Histogram* obOccupancy_ = nullptr;
     obs::Histogram* obE2e_ = nullptr;
-    int tracePid_ = 0;
 };
 
 } // namespace octo::bypass

@@ -96,16 +96,12 @@ Testbed::Testbed(const TestbedConfig& cfg) : cfg_(cfg)
     }
 
     // Health monitoring rides on the steerable plane: only the Ioctopus
-    // preset has one netdev spanning both PFs to re-steer between. The
-    // polled plane implements the same interface, so the monitor judges
+    // preset has one netdev spanning both PFs to re-steer between. Both
+    // NIC datapaths share one queue plane, so the monitor judges
     // busy-polled queues exactly like interrupt-driven ones.
     if (cfg_.healthMonitor && cfg_.mode == ServerMode::Ioctopus) {
-        steer::SteerablePlane& plane =
-            cfg_.bypass
-                ? static_cast<steer::SteerablePlane&>(*serverPoll_)
-                : *serverStacks_.at(0);
-        monitor_ =
-            std::make_unique<health::HealthMonitor>(plane, cfg_.health);
+        monitor_ = std::make_unique<health::HealthMonitor>(serverPlane(),
+                                                           cfg_.health);
         monitor_->start();
         if (cfg_.diffProber) {
             prober_ = std::make_unique<health::DifferentialProber>(
@@ -122,36 +118,27 @@ Testbed::Testbed(const TestbedConfig& cfg) : cfg_(cfg)
         accmon_ = std::make_unique<accmon::AccessMonitor>(
             sim_, cfg_.hub, serverNic_->name(), cfg_.accmonCfg);
         if (cfg_.accmonSchemes) {
-            steer::SteerablePlane* plane =
-                cfg_.bypass ? static_cast<steer::SteerablePlane*>(
-                                  serverPoll_.get())
-                            : (serverStacks_.empty()
-                                   ? nullptr
-                                   : serverStacks_.at(0).get());
-            if (plane != nullptr) {
-                schemeEngine_ = std::make_unique<accmon::SchemeEngine>(
-                    *plane,
-                    cfg_.schemes.empty() ? accmon::defaultSchemes()
-                                         : cfg_.schemes,
-                    cfg_.hub, serverNic_->name());
-                if (health::HealthMonitor* hm = monitor_.get()) {
-                    const int pfs = serverNic_->functionCount();
-                    const int qs = serverNic_->queueCount();
-                    schemeEngine_->setStandoff([hm, pfs, qs] {
-                        for (int p = 0; p < pfs; ++p) {
-                            if (hm->state(p) !=
-                                health::HealthState::Healthy)
-                                return true;
-                        }
-                        for (int q = 0; q < qs; ++q) {
-                            if (hm->queueSteeredAway(q))
-                                return true;
-                        }
-                        return false;
-                    });
-                }
-                accmon_->setEngine(schemeEngine_.get());
+            schemeEngine_ = std::make_unique<accmon::SchemeEngine>(
+                serverPlane(),
+                cfg_.schemes.empty() ? accmon::defaultSchemes()
+                                     : cfg_.schemes,
+                cfg_.hub, serverNic_->name());
+            if (health::HealthMonitor* hm = monitor_.get()) {
+                const int pfs = serverNic_->functionCount();
+                const int qs = serverNic_->queueCount();
+                schemeEngine_->setStandoff([hm, pfs, qs] {
+                    for (int p = 0; p < pfs; ++p) {
+                        if (hm->state(p) != health::HealthState::Healthy)
+                            return true;
+                    }
+                    for (int q = 0; q < qs; ++q) {
+                        if (hm->queueSteeredAway(q))
+                            return true;
+                    }
+                    return false;
+                });
             }
+            accmon_->setEngine(schemeEngine_.get());
         }
         serverNic_->setAccessMonitor(accmon_.get());
         accmon_->start();
@@ -159,6 +146,14 @@ Testbed::Testbed(const TestbedConfig& cfg) : cfg_(cfg)
 }
 
 Testbed::~Testbed() = default;
+
+nic::QueuePlane&
+Testbed::serverPlane()
+{
+    if (serverPoll_ != nullptr)
+        return *serverPoll_;
+    return *serverStacks_.at(0);
+}
 
 void
 Testbed::buildServerSide()

@@ -197,6 +197,11 @@ class Testbed
     bypass::PollPlane* serverPoll() { return serverPoll_.get(); }
     bypass::PollPlane* clientPoll() { return clientPoll_.get(); }
 
+    /** The server NIC's steerable queue plane: the polled plane under
+     *  bypass, else server stack 0. What the health monitor and the
+     *  scheme engine steer through. */
+    nic::QueuePlane& serverPlane();
+
     /** Preset name for legends: modeName() plus "-poll" under bypass. */
     std::string presetName() const;
 

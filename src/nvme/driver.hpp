@@ -123,8 +123,6 @@ class NvmeDriver : public steer::SteerablePlane
         weightedSteering_ = on;
     }
 
-    bool weightedSteering() const { return weightedSteering_; }
-
     void
     applyPfWeights(const std::vector<double>& weights) override
     {

@@ -14,7 +14,6 @@ using sim::Task;
 using sim::Tick;
 using sim::delay;
 using sim::fromNs;
-using sim::fromUs;
 
 namespace {
 
@@ -22,11 +21,19 @@ namespace {
  *  netdev process keeps them out of the per-queue softirq rows). */
 constexpr int kE2eTid = 999;
 
+/** NAPI poll budget per core-hold: frames (Rx) or completions (Tx)
+ *  reaped before the softirq yields its core. */
+constexpr int kNapiBudget = 64;
+
+/** Delay between a PF hot-unplug/re-probe event and the team driver
+ *  acting on it (AER + hotplug handling latency). */
+constexpr Tick kTeamFailoverDelay = sim::fromMs(1);
+
 } // namespace
 
 NetStack::NetStack(topo::Machine& machine, nic::NicDevice& device,
                    StackConfig cfg)
-    : machine_(machine), device_(device), cfg_(cfg), sim_(machine.sim())
+    : nic::QueuePlane(machine, device), cfg_(cfg)
 {
     device_.setSink(this);
     if (cfg_.steerExpiry > 0)
@@ -47,13 +54,13 @@ NetStack::NetStack(topo::Machine& machine, nic::NicDevice& device,
         reg.counterFn("net_tx_queue_overrides", l,
                       [this] { return txQueueOverrides_; });
         reg.counterFn("net_health_resteers", l,
-                      [this] { return healthResteers_; });
+                      [this] { return resteersPerformed(); });
         reg.counterFn("net_pf_failovers", l,
                       [this] { return pfFailovers_; });
         reg.counterFn("net_pf_rebalances", l,
                       [this] { return pfRebalances_; });
         reg.counterFn("net_admin_drains", l,
-                      [this] { return adminDrains_; });
+                      [this] { return adminDrains(); });
         reg.counterFn("net_lost_bytes", l,
                       [this] { return lostBytes_; });
         reg.counterFn("net_reclaimed_bytes", l,
@@ -159,7 +166,7 @@ NetStack::queueForCore(int core_id, int domain) const
 Socket&
 NetStack::createSocket(const nic::FiveTuple& rx_flow)
 {
-    return createSocket(rx_flow, cfg_.windowBytes, cfg_.tso);
+    return createSocket(rx_flow, cfg_.windowBytes, true);
 }
 
 Socket&
@@ -197,8 +204,7 @@ NetStack::send(ThreadCtx& t, Socket& sock, std::uint64_t bytes,
 
     std::uint64_t left = bytes;
     while (left > 0) {
-        const std::uint32_t max_seg =
-            (sock.tso && cfg_.tso) ? (64u << 10) : cal.mtu;
+        const std::uint32_t max_seg = sock.tso ? (64u << 10) : cal.mtu;
         const auto seg = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(left, max_seg));
 
@@ -263,7 +269,7 @@ NetStack::recv(ThreadCtx& t, Socket& sock, std::uint64_t bytes)
 
     // ARFS: the kernel notices the consuming thread's CPU on each recv
     // and asks the driver to re-steer the flow when it moved (§2.3).
-    if (cfg_.autoSteer && sock.lastRxCore != t.core().id()) {
+    if (sock.lastRxCore != t.core().id()) {
         flowMoved(sock, t.core());
         sock.lastRxCore = t.core().id();
     }
@@ -431,10 +437,7 @@ NetStack::irqFaultFilter(int qid, bool rx, Tick& delay)
         });
         return true;
     }
-    if (irqExtraDelay_ > 0) {
-        ++irqsDelayed_;
-        delay = irqExtraDelay_;
-    }
+    delay = irqExtraDelay_;
     return false;
 }
 
@@ -454,9 +457,7 @@ NetStack::frameLost(const nic::FiveTuple& flow, std::uint32_t bytes)
     if (auto it = demux_.find(flow.reversed()); it != demux_.end()) {
         it->second->lostTxBytes += bytes;
         it->second->lastLossAt = sim_.now();
-        return;
     }
-    ++unmatched_;
 }
 
 void
@@ -467,167 +468,8 @@ NetStack::pfStateChanged(int pf_idx, bool up)
     // Surprise removal surfaces through AER/hotplug with a detection
     // latency; the driver reacts only then. State is re-checked at apply
     // time in case the event was superseded (flap).
-    sim_.scheduleIn(cfg_.teamFailoverDelay,
+    sim_.scheduleIn(kTeamFailoverDelay,
                     [this, pf_idx, up] { applyPfEvent(pf_idx, up); });
-}
-
-void
-NetStack::resteerQueue(int qid, int pf_idx)
-{
-    const std::uint64_t epoch = ++resteerEpoch_[qid];
-    drainAndRebind(qid, pf_idx, epoch).detach();
-}
-
-steer::EndpointTelemetry
-NetStack::telemetry(const steer::Endpoint& ep) const
-{
-    steer::EndpointTelemetry t;
-    nic::NicDevice& dev = device_;
-    if (ep.isPf()) {
-        const pcie::PciFunction& pf = dev.function(ep.pf);
-        t.linkUp = pf.linkUp();
-        t.bwFraction = pf.bwFraction();
-        t.nominalGbps = pf.nominalGbps();
-        t.errors = pf.correctableErrors() + pf.uncorrectableErrors() +
-                   dev.pfDeadDrops(ep.pf) + dev.pfTxAborts(ep.pf);
-        // Queue stalls are judged at queue granularity — folding them
-        // into the PF verdict would tar every healthy sibling.
-        t.stalls = 0;
-        t.currentPf = ep.pf;
-        t.homePf = ep.pf;
-        t.node = pf.node();
-        return t;
-    }
-    const nic::NicQueue& q = dev.queue(ep.queue);
-    t.linkUp = q.pf->linkUp();
-    t.impaired = q.stalledUntil > sim_.now() ||
-                 q.poisonedUntil > sim_.now();
-    t.bwFraction = t.impaired ? 0.0 : 1.0;
-    t.nominalGbps = q.pf->nominalGbps();
-    t.errors = q.poisonEvents;
-    t.stalls = q.stallEvents;
-    t.currentPf = q.pf->id();
-    t.homePf = q.homePf->id();
-    t.node = q.irqCore->node();
-    return t;
-}
-
-void
-NetStack::resteer(const steer::Endpoint& ep, int target_pf)
-{
-    if (ep.isQueue()) {
-        resteerQueue(ep.queue, target_pf);
-        return;
-    }
-    for (int qid = 0; qid < device_.queueCount(); ++qid) {
-        if (device_.queue(qid).pf->id() == ep.pf)
-            resteerQueue(qid, target_pf);
-    }
-}
-
-void
-NetStack::drain(const steer::Endpoint& ep)
-{
-    if (ep.isQueue()) {
-        ++adminDrains_;
-        adminDrainTask(ep.queue).detach();
-        return;
-    }
-    for (int qid = 0; qid < device_.queueCount(); ++qid) {
-        if (device_.queue(qid).pf->id() == ep.pf) {
-            ++adminDrains_;
-            adminDrainTask(qid).detach();
-        }
-    }
-}
-
-sim::Task<>
-NetStack::adminDrainTask(int qid)
-{
-    co_await drainQueue(qid);
-}
-
-sim::Task<bool>
-NetStack::drainQueue(int qid)
-{
-    // Evacuation discipline: let the completions already posted behind
-    // the old binding be reaped so no flow observes reordering across
-    // the rebind. A stalled queue would block this forever — the
-    // watchdog converts "wedged driver" into "bounded reordering risk".
-    nic::NicQueue& q = device_.queue(qid);
-    const std::uint64_t target = q.rxReaped + q.rxCq.size();
-    const Tick deadline = sim_.now() + cfg_.steerWatchdog;
-    while (q.rxReaped < target) {
-        if (sim_.now() >= deadline) {
-            ++steerWatchdogFires_;
-            co_return false;
-        }
-        co_await delay(sim_, fromUs(5));
-    }
-    co_return true;
-}
-
-sim::Task<>
-NetStack::drainAndRebind(int qid, int pf_idx, std::uint64_t epoch)
-{
-    // Firmware RPC reprogramming the queue context (same kernel-worker
-    // latency as a steering-table update).
-    co_await delay(sim_, machine_.cal().arfsUpdateDelay);
-    if (resteerEpoch_[qid] != epoch)
-        co_return; // superseded by a newer verdict
-    co_await drainQueue(qid);
-    if (resteerEpoch_[qid] != epoch)
-        co_return;
-    pcie::PciFunction* pf = &device_.function(pf_idx);
-    if (device_.queue(qid).pf == pf)
-        co_return;
-    const int old_pf = device_.queue(qid).pf->id();
-    device_.rebindQueue(qid, *pf);
-    ++healthResteers_;
-    if (auto* tr = obs::tracer(sim_, obs::kCatSteer)) {
-        tr->instant(obs::kCatSteer, "health_resteer", tracePid_, qid,
-                    sim_.now(),
-                    {{"qid", qid}, {"from_pf", old_pf},
-                     {"to_pf", pf_idx}});
-    }
-}
-
-sim::Task<bool>
-NetStack::probe(int pf_idx)
-{
-    // Pick a queue currently bound to the PF under probation; the
-    // probe rides the normal Tx path (descriptor fetch, wire, CQE
-    // write-back, softirq reap) but belongs to no socket.
-    int qid = -1;
-    for (int q = 0; q < device_.queueCount(); ++q) {
-        if (device_.queue(q).pf->id() == pf_idx) {
-            qid = q;
-            break;
-        }
-    }
-    if (qid < 0 || !device_.function(pf_idx).linkUp())
-        co_return false;
-    const std::uint64_t aborts0 = device_.pfTxAborts(pf_idx);
-    sim::Semaphore done(sim_, 0);
-    nic::TxDesc d;
-    d.flow.srcPort = 1; // unmatched control flow: both ends discard it
-    d.flow.dstPort = 1;
-    d.bytes = 64;
-    d.skbNode = device_.queue(qid).bufNode;
-    d.loc = DataLoc::Llc;
-    d.fastPath = true;
-    d.probe = true;
-    d.completionSem = &done;
-    d.sentAt = sim_.now();
-    co_await device_.postTx(qid, d);
-    const Tick deadline = sim_.now() + cfg_.steerWatchdog;
-    while (!done.tryAcquire()) {
-        if (sim_.now() >= deadline)
-            co_return false;
-        co_await delay(sim_, fromUs(5));
-    }
-    co_return device_.pfTxAborts(pf_idx) == aborts0 &&
-        device_.function(pf_idx).linkUp();
 }
 
 void
@@ -733,51 +575,17 @@ NetStack::softirqRx(int qid)
         RxCompletion comp = *oc;
         const Tick t0 = sim_.now();
 
-        auto frameCost = [&](const RxCompletion& f) -> sim::Task<> {
-            // Read the completion entry the device wrote: an LLC hit
-            // with DDIO, or a DRAM miss when the device is remote (the
-            // line the NIC invalidated).
-            if (f.cqeLoc == DataLoc::Llc && f.bufNode == c.node()) {
-                co_await delay(sim_, cal.llcLatency);
-            } else if (f.cqeLoc == DataLoc::Llc) {
-                // Ring homed on the device's node (§2.4 remote-DDIO
-                // ablation): the entry is forwarded cache-to-cache
-                // across the interconnect — marginally cheaper than a
-                // local DRAM miss.
-                co_await delay(sim_,
-                               cal.qpiLatency + cal.llcLatency +
-                                   cal.rxRemoteDescMiss);
-            } else {
-                // The line was just posted by the remote device; the
-                // read serializes behind the device's in-flight writes
-                // on the interconnect, so under congestion (Fig. 11)
-                // the wait grows with the load — bounded by the home
-                // agent's read-queue cap.
-                // Same-node only with DDIO off: a plain local DRAM
-                // miss, no interconnect crossing to serialize behind.
-                const Tick backlog =
-                    q.pf->node() == c.node()
-                        ? 0
-                        : std::min(
-                              machine_.qpi(q.pf->node(), c.node())
-                                  .backlog(),
-                              cal.remoteMissWaitCap);
-                machine_.dram(f.bufNode).reserve(64ull * cal.cqeLines);
-                co_await delay(sim_, cal.dramLatency + cal.qpiLatency +
-                                          backlog +
-                                          cal.rxRemoteDescMiss);
-            }
-            co_await delay(sim_, cal.rxFrameKernel);
-        };
-
-        co_await frameCost(comp);
+        // Read the completion entry the device wrote (the NUDMA term),
+        // then the per-frame driver work.
+        co_await cqeRead(q, comp.cqeLoc, comp.bufNode, c);
+        co_await delay(sim_, cal.rxFrameKernel);
         int frames = 1;
         std::uint32_t merged = comp.frame.payloadBytes;
 
         // GRO: merge immediately-following in-order frames of the same
         // flow into one segment before handing it to the stack.
-        while (merged < cal.groMaxBytes && in_hold + frames <
-                                               cfg_.rxBudget) {
+        while (merged < cal.groMaxBytes &&
+               in_hold + frames < kNapiBudget) {
             const RxCompletion* next = q.rxCq.peek();
             if (next == nullptr || !(next->frame.flow == comp.frame.flow) ||
                 next->frame.seq != comp.frame.seq + frames ||
@@ -785,7 +593,8 @@ NetStack::softirqRx(int qid)
                 break;
             }
             RxCompletion f = *q.rxCq.tryPop();
-            co_await frameCost(f);
+            co_await cqeRead(q, f.cqeLoc, f.bufNode, c);
+            co_await delay(sim_, cal.rxFrameKernel);
             merged += f.frame.payloadBytes;
             ++frames;
         }
@@ -799,10 +608,7 @@ NetStack::softirqRx(int qid)
         rxPackets_.add(frames);
         so_frames += frames;
 
-        auto it = demux_.find(comp.frame.flow);
-        if (it == demux_.end()) {
-            ++unmatched_;
-        } else {
+        if (auto it = demux_.find(comp.frame.flow); it != demux_.end()) {
             Socket* s = it->second;
             s->lastRxAt = sim_.now();
             if (comp.frame.seq != s->expectedRxSeq)
@@ -818,7 +624,7 @@ NetStack::softirqRx(int qid)
 
         // NAPI budget: yield the core so application threads interleave.
         in_hold += frames;
-        if (in_hold >= cfg_.rxBudget) {
+        if (in_hold >= kNapiBudget) {
             in_hold = 0;
             c.mutex().release();
             co_await delay(sim_, 0);
@@ -871,7 +677,7 @@ NetStack::softirqTx(int qid)
             comp.desc.completionSem->release();
         ++so_comps;
 
-        if (++in_hold >= cfg_.rxBudget) {
+        if (++in_hold >= kNapiBudget) {
             in_hold = 0;
             c.mutex().release();
             co_await delay(sim_, 0);
@@ -959,22 +765,8 @@ NetStack::placeFlow(const nic::FiveTuple& flow, int qid)
     const int old_qid = device_.classify(flow);
     if (old_qid == qid)
         return true;
-    ++flowPlacements_;
     applySteer(flow, old_qid, qid).detach();
     return true;
-}
-
-void
-NetStack::unplaceFlow(const nic::FiveTuple& flow)
-{
-    device_.unsteerFlow(flow);
-}
-
-bool
-NetStack::queueDmaLocal(int qid) const
-{
-    const nic::NicQueue& q = device_.queue(qid);
-    return q.pf->linkUp() && q.pf->node() == q.bufNode;
 }
 
 } // namespace octo::os

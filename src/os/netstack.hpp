@@ -20,10 +20,10 @@
 #include <vector>
 
 #include "nic/device.hpp"
+#include "nic/queue_plane.hpp"
 #include "os/socket.hpp"
 #include "os/thread.hpp"
 #include "sim/task.hpp"
-#include "steer/plane.hpp"
 
 namespace octo::os {
 
@@ -33,12 +33,6 @@ struct StackConfig
     /** Sender flow-control window. Kept below Rx-ring capacity so that
      *  backpressure, not loss, bounds the stream (back-to-back link). */
     std::uint64_t windowBytes = 480u << 10;
-    bool tso = true;
-    /** NAPI poll budget per core-hold (packets). */
-    int rxBudget = 64;
-    /** Auto-install/update flow steering on consumer migration (ARFS /
-     *  IOctoRFS). */
-    bool autoSteer = true;
     /** Steering-rule expiry scan period (0 disables). A kernel worker
      *  periodically deletes rules for flows with no recent traffic
      *  (paper §4.2). */
@@ -52,10 +46,6 @@ struct StackConfig
      *  that view implies. */
     bool teamFailover = false;
 
-    /** Delay between the PF hot-unplug/re-probe event and the driver
-     *  acting on it (AER + hotplug handling latency). */
-    sim::Tick teamFailoverDelay = sim::fromMs(1);
-
     /** RTO-style retry worker period (0 disables): window credits held
      *  by frames lost in the device are reclaimed once a connection has
      *  been loss-quiet for this long, so in-flight descriptors on a
@@ -65,22 +55,17 @@ struct StackConfig
     /** Softirq watchdog: a lost interrupt's queue is polled after this
      *  delay (NAPI watchdog semantics), bounding IRQ-loss outages. */
     sim::Tick irqWatchdog = sim::fromUs(500);
-
-    /** Watchdog timeout on every blocking driver operation (steering
-     *  RPC drain, queue evacuation before a rebind). A stalled queue
-     *  can therefore delay a re-steer by at most this long — it can
-     *  never wedge the driver. */
-    sim::Tick steerWatchdog = sim::fromMs(5);
 };
 
 /**
  * Per-netdev network stack: sockets, XPS, ARFS, softirq processing.
  *
  * Also the NIC's steering plane: queues and PFs are exposed to the
- * health monitor as steer::Endpoints, so per-queue verdicts move one
- * sick Rx ring while its siblings stay bound in place.
+ * health monitor as steer::Endpoints (through the shared
+ * nic::QueuePlane), so per-queue verdicts move one sick Rx ring while
+ * its siblings stay bound in place.
  */
-class NetStack : public nic::NicSink, public steer::SteerablePlane
+class NetStack : public nic::NicSink, public nic::QueuePlane
 {
   public:
     NetStack(topo::Machine& machine, nic::NicDevice& device,
@@ -175,29 +160,6 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
      * same weighted path).
      */
     void setWeightedSteering(bool on) override { weightedSteering_ = on; }
-    bool weightedSteering() const { return weightedSteering_; }
-
-    // --------------------------------- steer::SteerablePlane interface
-    const char* planeName() const override { return "net"; }
-    sim::Simulator& planeSim() override { return sim_; }
-    int pfCount() const override { return device_.functionCount(); }
-
-    int
-    steerableQueueCount() const override
-    {
-        return device_.queueCount();
-    }
-
-    steer::EndpointTelemetry
-    telemetry(const steer::Endpoint& ep) const override;
-
-    /** Queue endpoints re-steer alone (epoch-guarded drain/rebind); PF
-     *  endpoints re-steer every queue currently bound to the PF. */
-    void resteer(const steer::Endpoint& ep, int target_pf) override;
-
-    /** Administrative drain: flush the endpoint's in-flight Rx backlog
-     *  (watchdog-bounded) without touching any binding. */
-    void drain(const steer::Endpoint& ep) override;
 
     /** Monitor-pushed per-PF weights consulted by queueForCore(). */
     void
@@ -206,30 +168,7 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
         txPfWeights_ = weights;
     }
 
-    std::uint64_t
-    resteersPerformed() const override
-    {
-        return healthResteers_;
-    }
-
-    /**
-     * Probation probe: post one tiny fast-path descriptor on a queue
-     * bound to PF @p pf and wait (watchdog-bounded) for its completion
-     * to come back clean — no socket, no real flow. The completion is
-     * reaped by the normal Tx softirq; success means the descriptor
-     * fetch, wire, and CQE write-back all worked through the recovered
-     * endpoint.
-     */
-    sim::Task<bool> probe(int pf) override;
-
-    /**
-     * Re-steer queue @p qid's DMA behind PF @p pf_idx: issue the
-     * firmware RPC, drain the in-flight completions of the old binding
-     * (bounded by the steerWatchdog), then rebind. A newer re-steer for
-     * the same queue supersedes an in-flight one (epoch check), so
-     * verdict churn cannot interleave stale rebinds.
-     */
-    void resteerQueue(int qid, int pf_idx);
+    const char* planeName() const override { return "net"; }
 
     // --------------------------- flow-grain placement (accmon schemes)
     /** Scheme-driven placement: program @p flow onto queue @p qid
@@ -238,48 +177,22 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
      *  the reactive path's costs. */
     bool placeFlow(const nic::FiveTuple& flow, int qid) override;
 
-    /** Drop the placement rule; the flow falls back to RSS. */
-    void unplaceFlow(const nic::FiveTuple& flow) override;
-
-    int
-    flowQueue(const nic::FiveTuple& flow) const override
-    {
-        return device_.classify(flow);
-    }
-
-    bool queueDmaLocal(int qid) const override;
-
     // ------------------------------------------------------- statistics
     std::uint64_t rxPacketsProcessed() const { return rxPackets_.total(); }
     std::uint64_t rxBytesDelivered() const
     {
         return rxBytesDelivered_.total();
     }
-    std::uint64_t unmatchedFrames() const { return unmatched_; }
     std::uint64_t steeringUpdates() const { return steeringUpdates_; }
     std::uint64_t steeringExpiries() const { return steeringExpiries_; }
-
-    /** Scheme-driven placeFlow() moves actually dispatched. */
-    std::uint64_t flowPlacements() const { return flowPlacements_; }
 
     /** Queues failed over to a surviving PF / rebalanced back home. */
     std::uint64_t pfFailovers() const { return pfFailovers_; }
     std::uint64_t pfRebalances() const { return pfRebalances_; }
 
-    /** Health-driven weighted queue re-steers (each resteerQueue call
-     *  that actually rebound a queue). */
-    std::uint64_t healthResteers() const { return healthResteers_; }
-
     /** Tx posts redirected off a down-weighted PF by the health-aware
      *  XPS pick. */
     std::uint64_t txQueueOverrides() const { return txQueueOverrides_; }
-
-    /** Administrative endpoint drains requested through the plane. */
-    std::uint64_t adminDrains() const { return adminDrains_; }
-
-    /** Blocking driver operations cut short by the steering watchdog
-     *  (stalled queue refused to drain in time). */
-    std::uint64_t steerWatchdogFires() const { return steerWatchdogFires_; }
 
     /** Device-loss accounting (see Socket loss ledger). */
     std::uint64_t lostFrames() const { return lostFrames_; }
@@ -288,7 +201,6 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
     std::uint64_t retryReclaims() const { return retryReclaims_; }
 
     /** Interrupt-fault accounting. */
-    std::uint64_t irqsDelayed() const { return irqsDelayed_; }
     std::uint64_t irqsDropped() const { return irqsDropped_; }
     std::uint64_t watchdogPolls() const { return watchdogPolls_; }
 
@@ -303,19 +215,8 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
      *  instead of sticking to a once-degraded PF's queues. */
     int xpsLookup(int core_id, int domain) const;
 
-    /** Fire-and-forget watchdog-bounded flush for an admin drain. */
-    sim::Task<> adminDrainTask(int qid);
-
     /** Act on a PF death/recovery after the detection delay. */
     void applyPfEvent(int pf_idx, bool up);
-
-    /** Drain queue @p qid's old binding (watchdog-bounded) and rebind
-     *  it to @p pf_idx, unless superseded by epoch @p epoch moving on. */
-    sim::Task<> drainAndRebind(int qid, int pf_idx, std::uint64_t epoch);
-
-    /** Watchdog-bounded wait for @p qid's pre-snapshot Rx backlog to be
-     *  reaped; true when drained, false when the watchdog fired. */
-    sim::Task<bool> drainQueue(int qid);
 
     /** IRQ fault filter: true if the interrupt was dropped (a watchdog
      *  poll of @p qid has been scheduled); otherwise adds any
@@ -332,10 +233,7 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
      *  time spent (caller charges the core). */
     sim::Task<sim::Tick> copySegIn(int node, const RxSeg& seg);
 
-    topo::Machine& machine_;
-    nic::NicDevice& device_;
     StackConfig cfg_;
-    sim::Simulator& sim_;
 
     std::vector<int> xps_; ///< core id -> qid (-1 unmapped), dense:
                            ///< this sits on the per-segment Tx path.
@@ -348,10 +246,8 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
     // readers fold the exact total.
     obs::ShardedCounter rxPackets_{sim_};
     obs::ShardedCounter rxBytesDelivered_{sim_};
-    std::uint64_t unmatched_ = 0;
     std::uint64_t steeringUpdates_ = 0;
     std::uint64_t steeringExpiries_ = 0;
-    std::uint64_t flowPlacements_ = 0;
     sim::Task<> expiry_;
     sim::Task<> retry_;
 
@@ -361,25 +257,19 @@ class NetStack : public nic::NicSink, public steer::SteerablePlane
     std::uint64_t irqSeen_ = 0;
     bool weightedSteering_ = false;
     std::vector<double> txPfWeights_;
-    std::unordered_map<int, std::uint64_t> resteerEpoch_;
     std::uint64_t pfFailovers_ = 0;
     std::uint64_t pfRebalances_ = 0;
-    std::uint64_t healthResteers_ = 0;
     mutable std::uint64_t txQueueOverrides_ = 0;
-    std::uint64_t adminDrains_ = 0;
-    std::uint64_t steerWatchdogFires_ = 0;
     std::uint64_t lostFrames_ = 0;
     std::uint64_t lostBytes_ = 0;
     std::uint64_t reclaimedBytes_ = 0;
     std::uint64_t retryReclaims_ = 0;
-    std::uint64_t irqsDelayed_ = 0;
     std::uint64_t irqsDropped_ = 0;
     std::uint64_t watchdogPolls_ = 0;
 
     // Observability (null / zero without an attached obs::Hub).
     obs::Histogram* obRxBatch_ = nullptr; ///< Frames per softirq drain.
     obs::Histogram* obE2e_ = nullptr; ///< Wire arrival -> recv(), ns.
-    int tracePid_ = 0;
 };
 
 } // namespace octo::os

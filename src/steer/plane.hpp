@@ -7,12 +7,13 @@
  * PFs and the queues homed behind them — with uniform telemetry
  * (link state, bandwidth fraction, error/stall counters) and two
  * actions: `resteer` (rebind an endpoint's DMA behind another PF) and
- * `drain` (evacuate its in-flight work without rebinding). The NIC team
- * driver (os::NetStack) and the multi-queue NVMe driver
- * (nvme::NvmeDriver) both implement it, so one HealthMonitor judges
- * NIC Rx rings and NVMe submission queues with the same state machine,
- * and future octoSSD/odirect paths plug in here instead of forking the
- * NetStack-specific plumbing.
+ * `drain` (evacuate its in-flight work without rebinding). The NIC
+ * queue plane (nic::QueuePlane, shared by the kernel os::NetStack and
+ * the polled bypass::PollPlane) and the multi-queue NVMe driver
+ * (nvme::NvmeDriver) implement it, so one HealthMonitor judges NIC
+ * rings and NVMe submission queues with the same state machine, and
+ * future octoSSD/odirect paths plug in here instead of forking the
+ * NIC-specific plumbing.
  */
 #pragma once
 

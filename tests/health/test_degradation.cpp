@@ -4,8 +4,9 @@
  * sick-but-alive (x8 -> x2 retrain) must cost only its proportional
  * bandwidth share, not the whole endpoint; recovery must bring flows
  * home; a square-wave fault must produce a bounded number of weight
- * verdicts; and a stalled queue must delay a re-steer by at most the
- * steering watchdog, never wedge it.
+ * verdicts; and a queue that refuses to drain — its IRQs lost, or its
+ * polled port never harvested — must delay a re-steer by at most the
+ * drain watchdog, never wedge it.
  */
 #include <cstdint>
 #include <memory>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../bypass/common.hpp"
 #include "core/testbed.hpp"
 #include "fault/plan.hpp"
 #include "health/score.hpp"
@@ -140,7 +142,7 @@ TEST(HealthDegradation, WeightsTrackDegradeAndRecoveryReturnsHome)
     tb.runFor(fromMs(45)); // t = 80 ms
     EXPECT_EQ(tb.monitor()->state(0), HealthState::Degraded);
     EXPECT_NEAR(tb.monitor()->weight(0), full * 0.25, full * 0.01);
-    EXPECT_GE(tb.serverStack().healthResteers(), 1u);
+    EXPECT_GE(tb.serverStack().resteersPerformed(), 1u);
     const std::uint64_t pf1_mid = tb.serverNic().pfRxBytes(1);
     EXPECT_GT(pf1_mid, 0u);
 
@@ -188,7 +190,9 @@ TEST(HealthDegradation, SquareWaveFaultCausesBoundedVerdicts)
 
 // ---------------------------------------------------------------------
 // Watchdog: a queue that refuses to drain delays its re-steer by at
-// most steerWatchdog — the driver is never wedged.
+// most kDrainWatchdog — the driver is never wedged. Kernel stack: every
+// IRQ is lost, so the softirq never reaps the backlog. Polled
+// datapath: the flow lands on a port nothing polls.
 // ---------------------------------------------------------------------
 TEST(HealthDegradation, WatchdogBoundsResteerOfAWedgedQueue)
 {
@@ -215,13 +219,35 @@ TEST(HealthDegradation, WatchdogBoundsResteerOfAWedgedQueue)
 
     pcie::PciFunction* before = tb.serverNic().queue(qid).pf;
     tb.serverStack().resteerQueue(qid, 1);
-    // arfsUpdateDelay + steerWatchdog < 10 ms: the watchdog must have
+    // arfsUpdateDelay + kDrainWatchdog < 10 ms: the watchdog must have
     // fired and the rebind must have proceeded anyway.
     tb.runFor(fromMs(10));
-    EXPECT_GE(tb.serverStack().steerWatchdogFires(), 1u);
+    EXPECT_GE(tb.serverStack().watchdogFires(), 1u);
     EXPECT_NE(tb.serverNic().queue(qid).pf, before);
     EXPECT_EQ(tb.serverNic().queue(qid).pf,
               &tb.serverNic().function(1));
+
+    // The -poll case: no port harvests the PF0 queue the flow is
+    // steered to, so its Rx backlog never drains.
+    cfg.bypass = true;
+    Testbed ptb(cfg);
+    const int port = 0;
+    const int pqid = ptb.serverPoll()->port(port).qid();
+    ASSERT_EQ(ptb.serverNic().queue(pqid).pf, &ptb.serverNic().function(0));
+    ptb.serverPoll()->steerFlow(bypass::testFlow(), port);
+    sim::Semaphore inflight(ptb.sim(), 256);
+    auto producer = bypass::producerLoop(ptb.clientPoll()->port(0),
+                                         bypass::testFlow(), 1024,
+                                         inflight);
+    ptb.runFor(fromMs(2));
+    ASSERT_GT(ptb.serverNic().queue(pqid).rxCq.size(), 0u)
+        << "no backlog built up; the wedge scenario is vacuous";
+
+    ptb.serverPoll()->resteerQueue(pqid, 1);
+    ptb.runFor(fromMs(10));
+    EXPECT_GE(ptb.serverPoll()->watchdogFires(), 1u);
+    EXPECT_EQ(ptb.serverNic().queue(pqid).pf,
+              &ptb.serverNic().function(1));
 }
 
 // ---------------------------------------------------------------------
@@ -240,7 +266,7 @@ TEST(HealthDegradation, MonitorSupersedesTeamFailoverOnPfKill)
     EXPECT_DOUBLE_EQ(tb.monitor()->weight(0), 0.0);
     // The stack's own failover stood down; the monitor moved the flows.
     EXPECT_EQ(tb.serverStack().pfFailovers(), 0u);
-    EXPECT_GE(tb.serverStack().healthResteers(), 1u);
+    EXPECT_GE(tb.serverStack().resteersPerformed(), 1u);
     const std::uint64_t during = load.bytes();
     EXPECT_GT(during, 0u);
 

@@ -241,13 +241,18 @@ TEST(ProbeMonitor, ProbesAreOffByDefault)
 }
 
 // ---------------------------------------------------------------------
-// Integration: the NetStack's real probe — a control-path descriptor
-// through the recovering PF — gates promotion on the Ioctopus testbed.
+// Integration: the queue plane's real probe — a control-path
+// descriptor through the recovering PF — gates promotion on the
+// Ioctopus testbed, on the kernel stack (NetStack) and on the polled
+// datapath (whose probe reaps its own completion: a polled queue
+// raises no Tx interrupt). Every probe sent must come back passed.
 // ---------------------------------------------------------------------
-TEST(ProbeMonitor, NetStackProbeGatesPromotionOnTheTestbed)
+void
+expectProbeGatesPromotionOnTheTestbed(bool poll)
 {
     core::TestbedConfig cfg;
     cfg.mode = core::ServerMode::Ioctopus;
+    cfg.bypass = poll;
     cfg.healthMonitor = true;
     cfg.health.probePromotion = true;
     cfg.faults.pcieWidthDegrade(fromMs(40), 0, 2)
@@ -262,7 +267,18 @@ TEST(ProbeMonitor, NetStackProbeGatesPromotionOnTheTestbed)
     EXPECT_EQ(tb.monitor()->state(0), HealthState::Healthy)
         << "PF0 should have recovered through a passing probe";
     EXPECT_GE(tb.monitor()->probesSent(), 1u);
-    EXPECT_GE(tb.monitor()->probesPassed(), 1u);
+    EXPECT_EQ(tb.monitor()->probesSent(), tb.monitor()->probesPassed())
+        << "a probe whose completion was never reaped timed out";
+}
+
+TEST(ProbeMonitor, NetStackProbeGatesPromotionOnTheTestbed)
+{
+    expectProbeGatesPromotionOnTheTestbed(false);
+}
+
+TEST(ProbeMonitor, PollProbeGatesPromotionOnTheTestbed)
+{
+    expectProbeGatesPromotionOnTheTestbed(true);
 }
 
 } // namespace

@@ -5,6 +5,10 @@
  * recovery; the resteer epoch guard drops stale rebinds under churn;
  * administrative drain evacuates an endpoint with no fault recorded;
  * and the health-aware Tx pick routes senders off a down-weighted PF.
+ * The epoch-guard and queue-drain cases also run on the polled
+ * datapath (the `Poll…` tests), which shares nic::QueuePlane with the
+ * kernel stack; the polled queue-stall case is
+ * BypassPresets.QueueStallEvacuatesExactlyTheSickPolledQueue.
  */
 #include <cstdint>
 
@@ -24,11 +28,21 @@ using core::TestbedConfig;
 using health::HealthState;
 using sim::fromMs;
 
+/** Ioctopus testbed on the kernel stack, or with @p poll on the
+ *  polled datapath. */
 TestbedConfig
-monitoredCfg()
+ioctopusCfg(bool poll = false)
 {
     TestbedConfig cfg;
     cfg.mode = ServerMode::Ioctopus;
+    cfg.bypass = poll;
+    return cfg;
+}
+
+TestbedConfig
+monitoredCfg(bool poll = false)
+{
+    TestbedConfig cfg = ioctopusCfg(poll);
     cfg.healthMonitor = true;
     return cfg;
 }
@@ -56,6 +70,7 @@ TEST(SteerPlane, QueueStallMovesOnlyTheSickQueue)
     TestbedConfig cfg = monitoredCfg();
     cfg.faults.queueStall(fromMs(40), 0, fromMs(30));
     Testbed tb(cfg);
+    const nic::QueuePlane& plane = tb.serverPlane();
 
     // Mid-stall, after detection (2 samples) and the re-steer settled.
     tb.runFor(fromMs(55));
@@ -66,7 +81,7 @@ TEST(SteerPlane, QueueStallMovesOnlyTheSickQueue)
     EXPECT_TRUE(tb.monitor()->queueSteeredAway(0));
     EXPECT_EQ(tb.serverNic().queue(0).pf, &tb.serverNic().function(1));
     expectSiblingsHome(tb, 0);
-    EXPECT_EQ(tb.serverStack().healthResteers(), 1u)
+    EXPECT_EQ(plane.resteersPerformed(), 1u)
         << "exactly the sick queue re-steers";
 
     // Stall expired at 70 ms: probation, promotion, and the way home.
@@ -74,7 +89,7 @@ TEST(SteerPlane, QueueStallMovesOnlyTheSickQueue)
     EXPECT_EQ(tb.monitor()->queueState(0), HealthState::Healthy);
     EXPECT_FALSE(tb.monitor()->queueSteeredAway(0));
     EXPECT_EQ(tb.serverNic().queue(0).pf, tb.serverNic().queue(0).homePf);
-    EXPECT_EQ(tb.serverStack().healthResteers(), 2u)
+    EXPECT_EQ(plane.resteersPerformed(), 2u)
         << "one move out, one move home";
 }
 
@@ -95,39 +110,49 @@ TEST(SteerPlane, QueuePoisonMovesOnlyTheSickQueue)
     EXPECT_EQ(tb.monitor()->state(0), HealthState::Healthy);
     EXPECT_EQ(tb.serverNic().queue(2).pf, &tb.serverNic().function(1));
     expectSiblingsHome(tb, 2);
-    EXPECT_EQ(tb.serverStack().healthResteers(), 1u);
+    EXPECT_EQ(tb.serverStack().resteersPerformed(), 1u);
 
     tb.runFor(fromMs(30));
     EXPECT_EQ(tb.monitor()->queueState(2), HealthState::Healthy);
     EXPECT_EQ(tb.serverNic().queue(2).pf, tb.serverNic().queue(2).homePf);
-    EXPECT_EQ(tb.serverStack().healthResteers(), 2u);
+    EXPECT_EQ(tb.serverStack().resteersPerformed(), 2u);
 }
 
 // ---------------------------------------------------------------------
 // Verdict churn: a newer re-steer for the same queue supersedes an
 // in-flight one, so a stale rebind can never land after the fact.
 // ---------------------------------------------------------------------
-TEST(SteerPlane, ResteerEpochGuardDropsStaleRebinds)
+void
+expectEpochGuardDropsStaleRebinds(bool poll)
 {
-    TestbedConfig cfg;
-    cfg.mode = ServerMode::Ioctopus;
-    Testbed tb(cfg);
+    Testbed tb(ioctopusCfg(poll));
+    nic::QueuePlane& plane = tb.serverPlane();
 
     tb.runFor(fromMs(1));
-    tb.serverStack().resteerQueue(0, 1);
+    plane.resteerQueue(0, 1);
     tb.runFor(fromMs(5));
     ASSERT_EQ(tb.serverNic().queue(0).pf, &tb.serverNic().function(1));
-    ASSERT_EQ(tb.serverStack().healthResteers(), 1u);
+    ASSERT_EQ(plane.resteersPerformed(), 1u);
 
     // Churn: steer home, then immediately back to PF1 before the first
     // rebind's kernel-worker delay elapses. The newest verdict (PF1 ==
     // current binding) wins; the stale rebind to PF0 must be dropped.
-    tb.serverStack().resteerQueue(0, 0);
-    tb.serverStack().resteerQueue(0, 1);
+    plane.resteerQueue(0, 0);
+    plane.resteerQueue(0, 1);
     tb.runFor(fromMs(10));
     EXPECT_EQ(tb.serverNic().queue(0).pf, &tb.serverNic().function(1))
         << "a superseded rebind landed after its successor";
-    EXPECT_EQ(tb.serverStack().healthResteers(), 1u);
+    EXPECT_EQ(plane.resteersPerformed(), 1u);
+}
+
+TEST(SteerPlane, ResteerEpochGuardDropsStaleRebinds)
+{
+    expectEpochGuardDropsStaleRebinds(false);
+}
+
+TEST(SteerPlane, PollResteerEpochGuardDropsStaleRebinds)
+{
+    expectEpochGuardDropsStaleRebinds(true);
 }
 
 // ---------------------------------------------------------------------
@@ -163,7 +188,7 @@ TEST(SteerPlane, AdminDrainPfEvacuatesAndUndrainReturnsHome)
                 << "queue " << q << " not evacuated";
         }
     }
-    EXPECT_EQ(tb.serverStack().healthResteers(),
+    EXPECT_EQ(tb.serverStack().resteersPerformed(),
               static_cast<std::uint64_t>(homed0));
     EXPECT_GE(tb.serverStack().adminDrains(), 1u);
 
@@ -179,10 +204,10 @@ TEST(SteerPlane, AdminDrainPfEvacuatesAndUndrainReturnsHome)
 // ---------------------------------------------------------------------
 // Administrative drain, queue grain: one queue leaves, siblings stay.
 // ---------------------------------------------------------------------
-TEST(SteerPlane, AdminDrainQueueMovesOnlyThatQueue)
+void
+expectAdminDrainQueueMovesOnlyThatQueue(bool poll)
 {
-    TestbedConfig cfg = monitoredCfg();
-    Testbed tb(cfg);
+    Testbed tb(monitoredCfg(poll));
     tb.runFor(fromMs(10));
     ASSERT_NE(tb.monitor(), nullptr);
 
@@ -192,11 +217,23 @@ TEST(SteerPlane, AdminDrainQueueMovesOnlyThatQueue)
     EXPECT_EQ(tb.serverNic().queue(3).pf, &tb.serverNic().function(1));
     expectSiblingsHome(tb, 3);
     EXPECT_EQ(tb.monitor()->queueState(3), HealthState::Healthy);
+    EXPECT_EQ(tb.serverPlane().adminDrains(), 1u);
+    EXPECT_EQ(tb.serverPlane().resteersPerformed(), 1u);
 
     tb.monitor()->undrain(Endpoint::ofQueue(0, 3));
     tb.runFor(fromMs(10));
     EXPECT_FALSE(tb.monitor()->queueSteeredAway(3));
     EXPECT_EQ(tb.serverNic().queue(3).pf, tb.serverNic().queue(3).homePf);
+}
+
+TEST(SteerPlane, AdminDrainQueueMovesOnlyThatQueue)
+{
+    expectAdminDrainQueueMovesOnlyThatQueue(false);
+}
+
+TEST(SteerPlane, PollAdminDrainQueueMovesOnlyThatQueue)
+{
+    expectAdminDrainQueueMovesOnlyThatQueue(true);
 }
 
 // ---------------------------------------------------------------------
