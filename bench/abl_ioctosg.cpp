@@ -11,8 +11,6 @@
  * is split 50/50 across nodes and measures device throughput plus
  * interconnect traffic, with and without IOctoSG.
  */
-#include <benchmark/benchmark.h>
-
 #include "common.hpp"
 
 using namespace octo;
@@ -85,9 +83,7 @@ runSg(bool octo_sg, ObsSession* obs = nullptr)
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "abl_ioctosg");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "abl_ioctosg");
 
     printHeader("Ablation — IOctoSG for node-spanning Tx buffers",
                 "config        tput[Gb/s]  qpi[Gb/s]");

@@ -14,8 +14,6 @@
  *  - octoNIC + FreeBalance: escapes *and* stays local, because
  *    IOctoRFS re-steers each flow to the PF of wherever it lands.
  */
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common.hpp"
@@ -93,9 +91,7 @@ runSched(ServerMode mode, os::SchedPolicy policy,
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "abl_scheduler");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "abl_scheduler");
 
     printHeader("Ablation — scheduler policies under batch interference",
                 "nic        policy        tput[Gb/s]  migrations");

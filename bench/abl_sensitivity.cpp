@@ -5,8 +5,6 @@
  * flow-control window. Confirms the ioct/remote gap is a property of
  * the DMA locality, not of a particular software configuration.
  */
-#include <benchmark/benchmark.h>
-
 #include "common.hpp"
 
 using namespace octo;
@@ -14,34 +12,22 @@ using namespace octo::bench;
 
 namespace {
 
+/** 64 KiB TCP Rx in @p mode with the two stack knobs set; @p window 0
+ *  keeps the default flow-control window. */
 double
 runWith(ServerMode mode, sim::Tick coalesce, std::uint64_t window,
         ObsSession* obs = nullptr)
 {
-    TestbedConfig cfg;
-    cfg.mode = mode;
+    TestbedConfig cfg = modeConfig(mode);
     cfg.rxCoalesce = coalesce;
     if (window != 0)
         cfg.stack.windowBytes = window;
-    obsBegin(obs, cfg,
-             std::string(core::modeName(mode)) + "/" +
-                 std::to_string(sim::toUs(coalesce)) + "us/" +
-                 std::to_string(window >> 10) + "KB");
-    Testbed tb(cfg);
-    auto server_t = tb.serverThread(tb.workNode(), 0);
-    auto client_t = tb.clientThread(0);
-    workloads::NetperfStream stream(tb, server_t, client_t, 64 << 10,
-                                    workloads::StreamDir::ServerRx);
-    stream.start();
-    if (obs != nullptr)
-        obs->startSampler(tb);
-    tb.runFor(kWarmup);
-    Probe probe(tb, {&server_t.core()}, stream.bytesDelivered());
-    tb.runFor(kWindow);
-    const double gbps = probe.gbps(stream.bytesDelivered());
-    if (obs != nullptr)
-        obs->endRun();
-    return gbps;
+    return runTcpStream(cfg, 64 << 10, workloads::StreamDir::ServerRx,
+                        kWarmup, kWindow, obs,
+                        std::string(core::modeName(mode)) + "/" +
+                            std::to_string(sim::toUs(coalesce)) +
+                            "us/" + std::to_string(window >> 10) + "KB")
+        .gbps;
 }
 
 } // namespace
@@ -49,9 +35,7 @@ runWith(ServerMode mode, sim::Tick coalesce, std::uint64_t window,
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "abl_sensitivity");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "abl_sensitivity");
 
     printHeader("Ablation — coalescing / window sensitivity of the "
                 "TCP Rx gap",

@@ -6,8 +6,6 @@
  * settle spends a growing fraction of its time being served by the
  * remote PF. This bounds how dynamic a workload IOctopus can absorb.
  */
-#include <benchmark/benchmark.h>
-
 #include "common.hpp"
 
 using namespace octo;
@@ -68,9 +66,7 @@ runPingPong(sim::Tick period, ObsSession* obs = nullptr)
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "abl_steering");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "abl_steering");
 
     printHeader("Ablation — migration frequency vs octoNIC steering",
                 "migration period   tput[Gb/s]  ooo-events  "

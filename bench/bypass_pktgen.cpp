@@ -13,13 +13,8 @@
  * remote penalty therefore *grows* relative to the interrupt stack,
  * and `ioctopus-poll` (PF-local rings) recovers the local rate.
  */
-#include <benchmark/benchmark.h>
-
-#include <vector>
-
 #include "bypass/plane.hpp"
 #include "common.hpp"
-#include "workloads/pktgen.hpp"
 
 using namespace octo;
 using namespace octo::bench;
@@ -30,63 +25,14 @@ const std::uint32_t kSizes[] = {64, 256, 1024, 1500};
 constexpr int kBurst = 32;
 constexpr int kDepth = 256;
 
-struct PktgenResult
-{
-    double mpps;
-    double gbps;
-    double membwGbps;
-};
-
-/** The generator flow, identical to workloads::Pktgen's. */
-nic::FiveTuple
-pktgenFlow()
-{
-    nic::FiveTuple f;
-    f.srcIp = core::Testbed::kServerIp;
-    f.dstIp = core::Testbed::kClientIp;
-    f.srcPort = 7000;
-    f.dstPort = 7001;
-    f.proto = nic::Proto::Udp;
-    return f;
-}
-
-/** Closed-loop burst transmitter: post up to a burst of descriptors,
- *  then reap Tx completions; in-flight bounded by @p inflight. */
-sim::Task<>
-producerLoop(bypass::PollPort& port, nic::FiveTuple flow,
-             std::uint32_t bytes, sim::Semaphore& inflight)
-{
-    for (;;) {
-        int n = 0;
-        while (n < kBurst && inflight.tryAcquire())
-            ++n;
-        if (n > 0)
-            co_await port.txBurst(flow, bytes, n, &inflight);
-        // Reaping in the same loop keeps the ring from wedging when
-        // the in-flight budget is exhausted; an idle pass costs one
-        // empty poll, exactly like a DPDK Tx drain.
-        co_await port.harvestTx(2 * kBurst);
-    }
-}
-
-/** Receive-and-free sink on the client's steered port. */
-sim::Task<>
-sinkLoop(bypass::PollPort& port)
-{
-    std::vector<bypass::RxPacket> pkts(kBurst);
-    for (;;) {
-        const int n = co_await port.rxBurst(pkts.data(), kBurst);
-        for (int i = 0; i < n; ++i)
-            port.freePacket(pkts[i]);
-    }
-}
-
-PktgenResult
+/** Fig. 8's pktgen on a polled preset — the same flow and in-flight
+ *  depth, posted in bursts into a polled sink on the client. Returns
+ *  the packet rate in MPPS. */
+double
 runBypassPktgen(ServerMode mode, std::uint32_t size,
                 ObsSession* obs = nullptr)
 {
-    TestbedConfig cfg;
-    cfg.mode = mode;
+    TestbedConfig cfg = modeConfig(mode);
     cfg.bypass = true;
     cfg.bypassCfg.burst = kBurst;
     obsBegin(obs, cfg, std::string(core::modeName(mode)) + "-poll");
@@ -98,54 +44,21 @@ runBypassPktgen(ServerMode mode, std::uint32_t size,
     tb.clientPoll()->steerFlow(pktgenFlow(), 0);
 
     sim::Semaphore inflight(tb.sim(), kDepth);
-    sim::Task<> prod = producerLoop(tx, pktgenFlow(), size, inflight);
-    sim::Task<> sinkT = sinkLoop(sink);
+    sim::Task<> prod =
+        burstProducer(tx, pktgenFlow(), size, kBurst, inflight);
+    sim::Task<> sinkT = burstSink(sink, kBurst);
     if (obs != nullptr)
         obs->startSampler(tb);
 
     tb.runFor(kWarmup);
-    Probe probe(tb, {&tx.core()}, tx.txBytes());
     const std::uint64_t p0 = tx.txFrames();
+    const Tick t0 = tb.sim().now();
     tb.runFor(kWindow);
-    const double secs = sim::toSec(probe.elapsed());
-    PktgenResult res{(tx.txFrames() - p0) / secs / 1e6,
-                     probe.gbps(tx.txBytes()), probe.membwGbps()};
+    const double mpps = (tx.txFrames() - p0) /
+                        sim::toSec(tb.sim().now() - t0) / 1e6;
     if (obs != nullptr)
         obs->endRun();
-    return res;
-}
-
-/** The interrupt-stack baseline (same shape as fig08's runner). */
-PktgenResult
-runKernelPktgen(ServerMode mode, std::uint32_t size)
-{
-    TestbedConfig cfg;
-    cfg.mode = mode;
-    Testbed tb(cfg);
-    auto t = tb.serverThread(tb.workNode(), 0);
-    workloads::Pktgen gen(tb, t, size, kDepth);
-    gen.start();
-    tb.runFor(kWarmup);
-    Probe probe(tb, {&t.core()}, gen.bytesSent());
-    const std::uint64_t p0 = gen.packetsSent();
-    tb.runFor(kWindow);
-    const double secs = sim::toSec(probe.elapsed());
-    return {(gen.packetsSent() - p0) / secs / 1e6,
-            probe.gbps(gen.bytesSent()), probe.membwGbps()};
-}
-
-void
-BypassPktgen(benchmark::State& state)
-{
-    const auto mode = static_cast<ServerMode>(state.range(0));
-    const std::uint32_t size = kSizes[state.range(1)];
-    PktgenResult r{};
-    for (auto _ : state)
-        r = runBypassPktgen(mode, size);
-    state.counters["mpps"] = r.mpps;
-    state.counters["tput_Gbps"] = r.gbps;
-    state.counters["membw_Gbps"] = r.membwGbps;
-    state.SetLabel(std::string(core::modeName(mode)) + "-poll");
+    return mpps;
 }
 
 } // namespace
@@ -153,30 +66,16 @@ BypassPktgen(benchmark::State& state)
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "bypass_pktgen");
-    for (auto mode : {ServerMode::Local, ServerMode::Remote,
-                      ServerMode::Ioctopus}) {
-        for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-            const std::string name = std::string("bypass/pktgen/") +
-                core::modeName(mode) + "-poll/" +
-                std::to_string(kSizes[i]) + "B";
-            benchmark::RegisterBenchmark(name.c_str(), &BypassPktgen)
-                ->Args({static_cast<int>(mode), static_cast<int>(i)})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "bypass_pktgen");
 
     printHeader("Kernel-bypass pktgen — remote penalty with and "
                 "without the kernel stack",
                 "pkt      kernel l/r/io[MPPS]        poll l/r/io[MPPS]"
                 "        penalty krn   penalty poll   io-poll/r-poll");
     for (std::uint32_t size : kSizes) {
-        const auto kl = runKernelPktgen(ServerMode::Local, size);
-        const auto kr = runKernelPktgen(ServerMode::Remote, size);
-        const auto ki = runKernelPktgen(ServerMode::Ioctopus, size);
+        const auto kl = runPktgen(ServerMode::Local, size);
+        const auto kr = runPktgen(ServerMode::Remote, size);
+        const auto ki = runPktgen(ServerMode::Ioctopus, size);
         const auto pl = runBypassPktgen(ServerMode::Local, size);
         const auto pr = runBypassPktgen(ServerMode::Remote, size);
         const auto pi = runBypassPktgen(ServerMode::Ioctopus, size);
@@ -185,9 +84,8 @@ main(int argc, char** argv)
         // software term is gone.
         std::printf("%-8u %6.2f /%6.2f /%6.2f   %7.2f /%6.2f /%6.2f"
                     "   %11.2fx %13.2fx %14.2fx\n",
-                    size, kl.mpps, kr.mpps, ki.mpps, pl.mpps, pr.mpps,
-                    pi.mpps, kl.mpps / kr.mpps, pl.mpps / pr.mpps,
-                    pi.mpps / pr.mpps);
+                    size, kl.mpps, kr.mpps, ki.mpps, pl, pr, pi,
+                    kl.mpps / kr.mpps, pl / pr, pi / pr);
     }
     if (obs) {
         // Observability pass: the three polled presets at 64 B.
@@ -196,6 +94,5 @@ main(int argc, char** argv)
             runBypassPktgen(mode, 64, &obs);
     }
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

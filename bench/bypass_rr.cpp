@@ -12,8 +12,6 @@
  * the gap. Results also land in bypass_rr.csv for the CI smoke to
  * validate (remote-poll p99 must exceed ioctopus-poll p99).
  */
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -153,39 +151,12 @@ runKernelRr(ServerMode mode, std::uint64_t msg)
             rr.latencyUs().percentile(99)};
 }
 
-void
-BypassRr(benchmark::State& state)
-{
-    const auto mode = static_cast<ServerMode>(state.range(0));
-    const std::uint64_t msg = kSizes[state.range(1)];
-    RrResult r{};
-    for (auto _ : state)
-        r = runBypassRr(mode, msg);
-    state.counters["rtt_p50_us"] = r.p50Us;
-    state.counters["rtt_p99_us"] = r.p99Us;
-    state.SetLabel(std::string(core::modeName(mode)) + "-poll");
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "bypass_rr");
-    for (auto mode : {ServerMode::Local, ServerMode::Remote,
-                      ServerMode::Ioctopus}) {
-        for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-            const std::string name = std::string("bypass/rr/") +
-                core::modeName(mode) + "-poll/" +
-                std::to_string(kSizes[i]) + "B";
-            benchmark::RegisterBenchmark(name.c_str(), &BypassRr)
-                ->Args({static_cast<int>(mode), static_cast<int>(i)})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "bypass_rr");
 
     printHeader("Kernel-bypass RR — remote penalty with and without "
                 "the kernel stack",
@@ -233,6 +204,5 @@ main(int argc, char** argv)
             runBypassRr(mode, 4096, &obs);
     }
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

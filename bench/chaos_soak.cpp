@@ -25,14 +25,10 @@
  * Output: `chaos_soak.csv` (one row per sweep run) and
  * `chaos_soak_report.json` (rows + scenario verdicts). The usual
  * `--trace` / `--metrics` / `--sample-us` flags record an
- * observability pass under the `chaos_soak_obs` prefix.
- * OCTO_CHAOS_QUICK=1 trims the sweep to one intensity for CI smoke.
+ * observability pass under the `chaos_soak_obs` prefix. `--quick`
+ * trims the sweep to one intensity for CI smoke.
  */
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -127,25 +123,9 @@ runKernelSoak(const fault::FaultPlan& plan, bool monitored,
     cfg.prober.probesPerRound = 2;
     Testbed tb(cfg);
 
-    std::vector<os::ThreadCtx> sctx;
-    std::vector<os::ThreadCtx> cctx;
-    for (int i = 0; i < kStreams; ++i) {
-        sctx.push_back(tb.serverThread(0, i));
-        cctx.push_back(tb.clientThread(i));
-    }
-    std::vector<std::unique_ptr<workloads::NetperfStream>> streams;
-    for (int i = 0; i < kStreams; ++i) {
-        streams.push_back(std::make_unique<workloads::NetperfStream>(
-            tb, sctx[i], cctx[i], 64u << 10,
-            workloads::StreamDir::ServerRx));
-        streams.back()->start();
-    }
-    auto delivered = [&streams] {
-        std::uint64_t total = 0;
-        for (const auto& s : streams)
-            total += s->bytesDelivered();
-        return total;
-    };
+    const NodeZeroStreams streams(tb, kStreams,
+                                  workloads::StreamDir::ServerRx);
+    auto delivered = [&streams] { return streams.delivered(); };
 
     chaos::Oracle oracle(tb.sim(), soakOracleCfg());
     armCommonWatches(oracle, tb, delivered, [&tb] {
@@ -193,36 +173,15 @@ runPollSoak(const fault::FaultPlan& plan, bool monitored,
     cfg.prober.probesPerRound = 2;
     Testbed tb(cfg);
 
-    nic::FiveTuple flow;
-    flow.srcIp = Testbed::kServerIp;
-    flow.dstIp = Testbed::kClientIp;
-    flow.srcPort = 7000;
-    flow.dstPort = 7001;
-    flow.proto = nic::Proto::Udp;
     bypass::PollPort& tx =
         tb.serverPoll()->port(tb.server().coreOn(tb.workNode(), 0).id());
     bypass::PollPort& sink = tb.clientPoll()->port(0);
-    tb.clientPoll()->steerFlow(flow, 0);
+    tb.clientPoll()->steerFlow(pktgenFlow(), 0);
 
     sim::Semaphore inflight(tb.sim(), kDepth);
-    auto producer = sim::spawn([&]() -> sim::Task<> {
-        for (;;) {
-            int n = 0;
-            while (n < kBurst && inflight.tryAcquire())
-                ++n;
-            if (n > 0)
-                co_await tx.txBurst(flow, kFrame, n, &inflight);
-            co_await tx.harvestTx(2 * kBurst);
-        }
-    });
-    auto sinkT = sim::spawn([&]() -> sim::Task<> {
-        std::vector<bypass::RxPacket> pkts(kBurst);
-        for (;;) {
-            const int n = co_await sink.rxBurst(pkts.data(), kBurst);
-            for (int i = 0; i < n; ++i)
-                sink.freePacket(pkts[i]);
-        }
-    });
+    sim::Task<> producer =
+        burstProducer(tx, pktgenFlow(), kFrame, kBurst, inflight);
+    sim::Task<> sinkT = burstSink(sink, kBurst);
 
     chaos::Oracle oracle(tb.sim(), soakOracleCfg());
     oracle.watchMempool("server", tb.serverPoll()->mempool(),
@@ -307,32 +266,17 @@ runGrayStock()
     cfg.faults = grayContrastPlan();
     cfg.healthMonitor = true; // monitor on, prober off
     Testbed tb(cfg);
-    std::vector<os::ThreadCtx> sctx;
-    std::vector<os::ThreadCtx> cctx;
-    std::vector<std::unique_ptr<workloads::NetperfStream>> streams;
-    for (int i = 0; i < kStreams; ++i) {
-        sctx.push_back(tb.serverThread(0, i));
-        cctx.push_back(tb.clientThread(i));
-        streams.push_back(std::make_unique<workloads::NetperfStream>(
-            tb, sctx[i], cctx[i], 64u << 10,
-            workloads::StreamDir::ServerRx));
-        streams.back()->start();
-    }
-    auto delivered = [&streams] {
-        std::uint64_t total = 0;
-        for (const auto& s : streams)
-            total += s->bytesDelivered();
-        return total;
-    };
+    const NodeZeroStreams streams(tb, kStreams,
+                                  workloads::StreamDir::ServerRx);
     tb.runFor(kSoakWarmup);
-    const std::uint64_t mark = delivered();
+    const std::uint64_t mark = streams.delivered();
     tb.runFor(sim::fromMs(48)); // t = 50 ms: deep inside the episode
     GrayStockResult res;
     res.stockHealthy =
         tb.monitor()->state(0) == health::HealthState::Healthy;
     res.externalDemotions = tb.monitor()->externalDemotions();
     tb.runFor(kHorizon - sim::fromMs(48));
-    res.run.gbps = sim::toGbps(delivered() - mark, kHorizon);
+    res.run.gbps = sim::toGbps(streams.delivered() - mark, kHorizon);
     res.run.resteers = tb.serverStack().resteersPerformed();
     return res;
 }
@@ -364,23 +308,9 @@ runLastResort()
     cfg.prober.period = sim::fromMs(1);
     cfg.prober.probesPerRound = 2;
     Testbed tb(cfg);
-    std::vector<os::ThreadCtx> sctx;
-    std::vector<os::ThreadCtx> cctx;
-    std::vector<std::unique_ptr<workloads::NetperfStream>> streams;
-    for (int i = 0; i < kStreams; ++i) {
-        sctx.push_back(tb.serverThread(0, i));
-        cctx.push_back(tb.clientThread(i));
-        streams.push_back(std::make_unique<workloads::NetperfStream>(
-            tb, sctx[i], cctx[i], 64u << 10,
-            workloads::StreamDir::ServerRx));
-        streams.back()->start();
-    }
-    auto delivered = [&streams] {
-        std::uint64_t total = 0;
-        for (const auto& s : streams)
-            total += s->bytesDelivered();
-        return total;
-    };
+    const NodeZeroStreams streams(tb, kStreams,
+                                  workloads::StreamDir::ServerRx);
+    auto delivered = [&streams] { return streams.delivered(); };
 
     chaos::Oracle oracle(tb.sim(), soakOracleCfg());
     armCommonWatches(oracle, tb, delivered, [&tb] {
@@ -487,16 +417,11 @@ writeOutputs(const std::vector<SoakRow>& rows, const SoakRun& plain,
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "chaos_soak_obs");
-    benchmark::Initialize(&argc, argv); // flag parsing only: the sweep
-                                        // below is not iteration-timed
-
-    const char* quick_env = std::getenv("OCTO_CHAOS_QUICK");
-    const bool quick = quick_env != nullptr && quick_env[0] != '\0' &&
-                       std::strcmp(quick_env, "0") != 0;
-    std::vector<double> intensities =
-        quick ? std::vector<double>{1.0}
-              : std::vector<double>{0.5, 1.0, 2.0};
+    const Flags flags = parseFlags(argc, argv);
+    ObsSession obs(flags.obs, "chaos_soak_obs");
+    const std::vector<double> intensities =
+        flags.quick ? std::vector<double>{1.0}
+                    : std::vector<double>{0.5, 1.0, 2.0};
 
     TestbedConfig probe_cfg; // only for the calibrated queue count
     const int queues =
@@ -577,7 +502,6 @@ main(int argc, char** argv)
 
     writeOutputs(rows, gray_plain, gray_stock, gray_probed, lr);
     obs.finish();
-    benchmark::Shutdown();
 
     int rc = 0;
     if (gray_probed.gbps < 2.0 * gray_plain.gbps ||

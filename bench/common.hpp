@@ -4,9 +4,8 @@
  *
  * Each bench binary regenerates one table/figure from the paper's
  * evaluation (§5): it sweeps the paper's parameter, runs the simulated
- * testbed in the relevant server configurations, and reports the same
- * series the paper plots, as google-benchmark counters plus a printed
- * row table.
+ * testbed once per sweep point in the relevant server configurations,
+ * and prints the same series the paper plots as a row table.
  */
 #pragma once
 
@@ -19,11 +18,14 @@
 
 #include "accmon/monitor.hpp"
 #include "accmon/scheme.hpp"
+#include "bypass/plane.hpp"
 #include "core/testbed.hpp"
 #include "obs/hub.hpp"
 #include "obs/sampler.hpp"
 #include "sim/stats.hpp"
+#include "workloads/antagonists.hpp"
 #include "workloads/netperf.hpp"
+#include "workloads/pktgen.hpp"
 
 namespace octo::bench {
 
@@ -51,57 +53,62 @@ struct ObsOptions
     }
 };
 
-/**
- * Consume the observability flags from argv (google-benchmark rejects
- * flags it does not know, so this must run before
- * benchmark::Initialize): `--trace`, `--metrics`, `--sample-us N` (or
- * `--sample-us=N`). The OCTO_TRACE / OCTO_METRICS / OCTO_SAMPLE_US
- * environment variables are honored too. A trace implies the metric
- * snapshot (the PR-4 behaviour), and sampling without an explicit
- * `--trace` still records the counter tracks into the trace file.
- */
-inline ObsOptions
-consumeObsFlags(int& argc, char** argv)
+/** The options every bench binary takes. */
+struct Flags
 {
-    ObsOptions opt;
-    int w = 1;
+    ObsOptions obs;
+    /** Trim a long sweep to its CI-smoke subset; benches without one
+     *  ignore it. */
+    bool quick = false;
+};
+
+/** Print the usage line for a bad argument @p arg and exit 2. */
+[[noreturn]] inline void
+usageExit(const char* prog, const char* arg)
+{
+    std::fprintf(stderr,
+                 "%s: bad argument '%s'\n"
+                 "usage: %s [--trace] [--metrics] [--sample-us N] "
+                 "[--quick]\n",
+                 prog, arg, prog);
+    std::exit(2);
+}
+
+/**
+ * Parse a bench's command line: `--trace`, `--metrics`,
+ * `--sample-us N` and `--quick`. Anything else prints the
+ * usage line and exits 2. A trace implies the metric snapshot, and
+ * sampling without an explicit `--trace` still records the counter
+ * tracks into the trace file.
+ */
+inline Flags
+parseFlags(int argc, char** argv)
+{
+    Flags f;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--trace") == 0) {
-            opt.trace = true;
-            continue;
+            f.obs.trace = true;
+        } else if (std::strcmp(argv[i], "--metrics") == 0) {
+            f.obs.metrics = true;
+        } else if (std::strcmp(argv[i], "--quick") == 0) {
+            f.quick = true;
+        } else if (std::strcmp(argv[i], "--sample-us") == 0 &&
+                   i + 1 < argc) {
+            char* end = nullptr;
+            const double us = std::strtod(argv[++i], &end);
+            // At least one tick, and small enough for an int64 Tick.
+            if (*end != '\0' || !(us >= 1e-6 && us <= 1e12))
+                usageExit(argv[0], argv[i]);
+            f.obs.samplePeriod = sim::fromUs(us);
+        } else {
+            usageExit(argv[0], argv[i]);
         }
-        if (std::strcmp(argv[i], "--metrics") == 0) {
-            opt.metrics = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--sample-us") == 0 && i + 1 < argc) {
-            opt.samplePeriod = sim::fromUs(std::atof(argv[++i]));
-            continue;
-        }
-        if (std::strncmp(argv[i], "--sample-us=", 12) == 0) {
-            opt.samplePeriod = sim::fromUs(std::atof(argv[i] + 12));
-            continue;
-        }
-        argv[w++] = argv[i];
     }
-    argc = w;
-    const auto envOn = [](const char* name) {
-        const char* env = std::getenv(name);
-        return env != nullptr && env[0] != '\0' &&
-               std::strcmp(env, "0") != 0;
-    };
-    if (envOn("OCTO_TRACE"))
-        opt.trace = true;
-    if (envOn("OCTO_METRICS"))
-        opt.metrics = true;
-    if (const char* env = std::getenv("OCTO_SAMPLE_US");
-        env != nullptr && env[0] != '\0')
-        opt.samplePeriod = sim::fromUs(std::atof(env));
-    if (opt.trace)
-        opt.metrics = true;
-    if (opt.samplePeriod > 0)
-        opt.trace = opt.metrics = true;
-    return opt;
+    if (f.obs.trace)
+        f.obs.metrics = true;
+    if (f.obs.samplePeriod > 0)
+        f.obs.trace = f.obs.metrics = true;
+    return f;
 }
 
 /**
@@ -112,7 +119,7 @@ consumeObsFlags(int& argc, char** argv)
  *
  * Lifecycle per run (preset/pass):
  *
- *     ObsSession obs(consumeObsFlags(argc, argv), "fig06");
+ *     ObsSession obs(parseFlags(argc, argv).obs, "fig06");
  *     ...
  *     obs.beginRun("ioctopus");        // BEFORE the Testbed: run label
  *     cfg.hub = obs.hub();             //   tags its instruments
@@ -431,6 +438,15 @@ class Probe
     std::vector<Tick> busy0_;
 };
 
+/** The paper's testbed in @p mode, every other knob at its default. */
+inline TestbedConfig
+modeConfig(ServerMode mode)
+{
+    TestbedConfig cfg;
+    cfg.mode = mode;
+    return cfg;
+}
+
 /** Result triple reported by the netperf stream figures. */
 struct StreamResult
 {
@@ -441,22 +457,21 @@ struct StreamResult
 
 /**
  * Single-core netperf TCP_STREAM experiment (Figs. 6 and 7): app thread
- * and NIC interrupts share one server core. An active ObsSession runs
- * the full pipeline for the pass — run-labeled instruments, trace
- * spans, periodic counter tracks — and when sampling is on the health
- * monitor is attached (Ioctopus mode) so per-PF weight/state curves
- * exist even in healthy runs.
+ * and NIC interrupts share one server core of a testbed built from
+ * @p cfg. An active ObsSession runs the full pipeline for the pass —
+ * run-labeled instruments (default label: the mode name), trace spans,
+ * periodic counter tracks — and when sampling is on the health monitor
+ * is attached (Ioctopus mode) so per-PF weight/state curves exist even
+ * in healthy runs.
  */
 inline StreamResult
-runTcpStream(ServerMode mode, std::uint64_t msg_bytes,
+runTcpStream(TestbedConfig cfg, std::uint64_t msg_bytes,
              workloads::StreamDir dir, Tick warmup = kWarmup,
              Tick window = kWindow, ObsSession* obs = nullptr,
              const std::string& run_label = {})
 {
-    TestbedConfig cfg;
-    cfg.mode = mode;
     obsBegin(obs, cfg,
-             run_label.empty() ? core::modeName(mode) : run_label);
+             run_label.empty() ? core::modeName(cfg.mode) : run_label);
     Testbed tb(cfg);
     auto server_t = tb.serverThread(tb.workNode(), 0);
     auto client_t = tb.clientThread(0);
@@ -474,6 +489,149 @@ runTcpStream(ServerMode mode, std::uint64_t msg_bytes,
     if (obs != nullptr)
         obs->endRun();
     return res;
+}
+
+/**
+ * @p n netperf streams of 64 KiB messages, stream i between server
+ * core i of node 0 and client core i, each started as it is built.
+ * Under the Ioctopus preset every one of them sits behind PF0.
+ */
+class NodeZeroStreams
+{
+  public:
+    NodeZeroStreams(Testbed& tb, int n, workloads::StreamDir dir)
+    {
+        for (int i = 0; i < n; ++i) {
+            streams_.push_back(std::make_unique<workloads::NetperfStream>(
+                tb, tb.serverThread(0, i), tb.clientThread(i), 64u << 10,
+                dir));
+            streams_.back()->start();
+        }
+    }
+
+    /** Application bytes delivered over all the streams so far. */
+    std::uint64_t
+    delivered() const
+    {
+        std::uint64_t total = 0;
+        for (const auto& s : streams_)
+            total += s->bytesDelivered();
+        return total;
+    }
+
+  private:
+    std::vector<std::unique_ptr<workloads::NetperfStream>> streams_;
+};
+
+/**
+ * Start @p pairs STREAM pairs on the server cores the single-core
+ * figures leave idle (core 0 of the work node hosts the workload),
+ * split across both sockets, each pair one reader and one writer
+ * targeting the other socket's memory (Figs. 11 and 12).
+ */
+inline std::vector<std::unique_ptr<workloads::StreamAntagonist>>
+startStreamPairs(Testbed& tb, int pairs)
+{
+    std::vector<std::unique_ptr<workloads::StreamAntagonist>> ants;
+    int next_core[2] = {1, 1};
+    for (int p = 0; p < pairs; ++p) {
+        const int node = p % 2;
+        for (auto dir : {topo::MemDir::Read, topo::MemDir::Write}) {
+            topo::Core& c =
+                tb.server().coreOn(node, next_core[node]++ %
+                                             tb.server().cal()
+                                                 .coresPerNode);
+            ants.push_back(std::make_unique<workloads::StreamAntagonist>(
+                tb.server(), c, 1 - node, dir));
+            ants.back()->start();
+        }
+    }
+    return ants;
+}
+
+/** Packet rate, wire throughput and server memory bandwidth of a
+ *  pktgen-style transmitter. */
+struct PktgenResult
+{
+    double mpps;
+    double gbps;
+    double membwGbps;
+};
+
+/**
+ * Single-core pktgen on the interrupt stack (Fig. 8): raw frames of
+ * @p size bytes from core 0 of the work node, 256 descriptors in
+ * flight.
+ */
+inline PktgenResult
+runPktgen(ServerMode mode, std::uint32_t size, ObsSession* obs = nullptr)
+{
+    TestbedConfig cfg = modeConfig(mode);
+    obsBegin(obs, cfg, core::modeName(mode));
+    Testbed tb(cfg);
+    auto t = tb.serverThread(tb.workNode(), 0);
+    workloads::Pktgen gen(tb, t, size);
+    gen.start();
+    if (obs != nullptr)
+        obs->startSampler(tb);
+
+    tb.runFor(kWarmup);
+    Probe probe(tb, {&t.core()}, gen.bytesSent());
+    const std::uint64_t p0 = gen.packetsSent();
+    tb.runFor(kWindow);
+    const double secs = sim::toSec(probe.elapsed());
+    PktgenResult res{(gen.packetsSent() - p0) / secs / 1e6,
+                     probe.gbps(gen.bytesSent()), probe.membwGbps()};
+    if (obs != nullptr)
+        obs->endRun();
+    return res;
+}
+
+/** The flow workloads::Pktgen transmits on: server to client, UDP. */
+inline nic::FiveTuple
+pktgenFlow()
+{
+    nic::FiveTuple f;
+    f.srcIp = Testbed::kServerIp;
+    f.dstIp = Testbed::kClientIp;
+    f.srcPort = 7000;
+    f.dstPort = 7001;
+    f.proto = nic::Proto::Udp;
+    return f;
+}
+
+/**
+ * Closed-loop polled transmitter: post up to @p burst descriptors of
+ * @p bytes on @p flow, then reap Tx completions; @p inflight bounds
+ * the descriptors outstanding.
+ */
+inline sim::Task<>
+burstProducer(bypass::PollPort& port, nic::FiveTuple flow,
+              std::uint32_t bytes, int burst, sim::Semaphore& inflight)
+{
+    for (;;) {
+        int n = 0;
+        while (n < burst && inflight.tryAcquire())
+            ++n;
+        if (n > 0)
+            co_await port.txBurst(flow, bytes, n, &inflight);
+        // Reaping in the same loop keeps the ring from wedging when
+        // the in-flight budget is exhausted; an idle pass costs one
+        // empty poll, exactly like a DPDK Tx drain.
+        co_await port.harvestTx(2 * burst);
+    }
+}
+
+/** Polled receive-and-free sink, @p burst frames per poll. */
+inline sim::Task<>
+burstSink(bypass::PollPort& port, int burst)
+{
+    std::vector<bypass::RxPacket> pkts(burst);
+    for (;;) {
+        const int n = co_await port.rxBurst(pkts.data(), burst);
+        for (int i = 0; i < n; ++i)
+            port.freePacket(pkts[i]);
+    }
 }
 
 /** Printf a header once per figure. */

@@ -18,8 +18,6 @@
  * (run,series,unit,time_ms,value; CI runs this binary as a smoke test
  * and checks the CSV is non-empty).
  */
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "common.hpp"
@@ -53,24 +51,9 @@ runTimeline(bool monitored, bool print, ObsSession* obs = nullptr)
 
     // The workload runs on node 0, so steering parks the rings behind
     // PF0 — the endpoint the plan retrains down to x2.
-    std::vector<std::unique_ptr<workloads::NetperfStream>> streams;
-    std::vector<os::ThreadCtx> sctx;
-    std::vector<os::ThreadCtx> cctx;
-    for (int i = 0; i < kStreams; ++i) {
-        sctx.push_back(tb.serverThread(0, i));
-        cctx.push_back(tb.clientThread(i));
-    }
-    for (int i = 0; i < kStreams; ++i) {
-        streams.push_back(std::make_unique<workloads::NetperfStream>(
-            tb, sctx[i], cctx[i], 64u << 10, workloads::StreamDir::ServerRx));
-        streams.back()->start();
-    }
-    auto app_bytes = [&] {
-        std::uint64_t total = 0;
-        for (const auto& s : streams)
-            total += s->bytesDelivered();
-        return total;
-    };
+    const NodeZeroStreams streams(tb, kStreams,
+                                  workloads::StreamDir::ServerRx);
+    auto app_bytes = [&streams] { return streams.delivered(); };
 
     obs::Hub own;
     obs::Report timeline;
@@ -162,9 +145,7 @@ runTimeline(bool monitored, bool print, ObsSession* obs = nullptr)
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "fault_degradation");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "fault_degradation");
 
     printHeader("Graceful degradation — weighted steering under a sick "
                 "(not dead) PF",
@@ -180,6 +161,5 @@ main(int argc, char** argv)
                 static_cast<double>(without) * 8 / 1e9 / window_s,
                 without > 0 ? static_cast<double>(with) / without : 0.0);
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

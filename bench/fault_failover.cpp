@@ -12,8 +12,6 @@
  * rate; on recovery the team driver rebalances the rings home and PF1
  * carries the stream again at the pre-fault rate.
  */
-#include <benchmark/benchmark.h>
-
 #include "common.hpp"
 
 using namespace octo;
@@ -89,14 +87,11 @@ runFailoverTimeline(ObsSession* obs = nullptr)
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "fault_failover");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "fault_failover");
 
     printHeader("PF failover — fault injection on the octoNIC team",
                 "(time series below)");
     runFailoverTimeline(&obs);
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

@@ -9,9 +9,9 @@
  * core count shipping that year. Reproduces the conclusion that one
  * NIC can satisfy all CPUs in the server (§2.6).
  */
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+
+#include "common.hpp"
 
 namespace {
 
@@ -37,8 +37,7 @@ constexpr double kBareMetalPerCoreGbps = 10.0; // netperf @ 50% core
 int
 main(int argc, char** argv)
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    octo::bench::parseFlags(argc, argv); // no simulation to observe
 
     std::printf("\n### Fig. 2 — NIC vs CPU bandwidth trend "
                 "[full-duplex Gb/s]\n");
@@ -55,6 +54,5 @@ main(int argc, char** argv)
                 "the demanding 10Gbps/core CPU line and ~32x above the "
                 "cloud-measured line by 2020 — one NIC suffices for all "
                 "CPUs (paper §2.6).\n");
-    benchmark::Shutdown();
     return 0;
 }

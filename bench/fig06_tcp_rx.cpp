@@ -8,8 +8,6 @@
  * to ~1.25-1.26x past the MTU; remote memory bandwidth ~3x its network
  * throughput (no DDIO), ioct/local near zero.
  */
-#include <benchmark/benchmark.h>
-
 #include "common.hpp"
 
 using namespace octo;
@@ -19,52 +17,22 @@ namespace {
 
 const std::uint64_t kSizes[] = {64, 256, 1024, 4096, 16384, 65536};
 
-void
-Fig06(benchmark::State& state)
-{
-    const auto mode = static_cast<ServerMode>(state.range(0));
-    const std::uint64_t msg = kSizes[state.range(1)];
-    StreamResult r{};
-    for (auto _ : state)
-        r = runTcpStream(mode, msg, workloads::StreamDir::ServerRx);
-    state.counters["tput_Gbps"] = r.gbps;
-    state.counters["membw_Gbps"] = r.membwGbps;
-    state.counters["cpu_cores"] = r.cpuCores;
-    state.SetLabel(core::modeName(mode));
-}
-
-void
-registerAll()
-{
-    for (auto mode : {ServerMode::Local, ServerMode::Remote,
-                      ServerMode::Ioctopus}) {
-        for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-            const std::string name = std::string("fig06/rx/") +
-                core::modeName(mode) + "/" +
-                std::to_string(kSizes[i]) + "B";
-            benchmark::RegisterBenchmark(name.c_str(), &Fig06)
-                ->Args({static_cast<int>(mode), static_cast<int>(i)})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-}
-
 /**
- * Observability pass (`--trace` / `--sample-us` / OCTO_TRACE): rerun
- * the three presets at 16 KiB against the shared ObsSession, then dump
- * the Perfetto trace, the Prometheus/CSV snapshot, and (when sampling)
- * the report time series. A short window keeps the trace within the
- * event cap while the DMA-locality counters still see tens of
- * thousands of transfers per preset.
+ * Observability pass (`--trace` / `--sample-us`): rerun the three
+ * presets at 16 KiB against the shared ObsSession, then dump the
+ * Perfetto trace, the Prometheus/CSV snapshot, and (when sampling) the
+ * report time series. A short window keeps the trace within the event
+ * cap while the DMA-locality counters still see tens of thousands of
+ * transfers per preset.
  */
 void
 runTraced(ObsSession& obs)
 {
     for (auto mode : {ServerMode::Local, ServerMode::Remote,
                       ServerMode::Ioctopus}) {
-        runTcpStream(mode, 16384, workloads::StreamDir::ServerRx,
-                     sim::fromMs(2), sim::fromMs(3), &obs);
+        runTcpStream(modeConfig(mode), 16384,
+                     workloads::StreamDir::ServerRx, sim::fromMs(2),
+                     sim::fromMs(3), &obs);
     }
 
     obs::MetricRegistry& reg = obs.hub()->metrics();
@@ -115,33 +83,30 @@ runTraced(ObsSession& obs)
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "fig06");
-    registerAll();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "fig06");
 
-    // Paper-style series table.
+    // Paper-style series table: throughput, then the memory-bandwidth
+    // and CPU series of all three presets.
     printHeader("Fig. 6 — single-core TCP Rx vs message size",
                 "msg      local[Gb/s]  remote[Gb/s]  ioct[Gb/s]  "
-                "ioct/remote  remote membw/tput");
+                "ioct/remote  remote membw/tput  "
+                "membw l/r/io[Gb/s]     cpu l/r/io[cores]");
     for (std::uint64_t msg : kSizes) {
-        const auto l =
-            runTcpStream(ServerMode::Local, msg,
-                         workloads::StreamDir::ServerRx);
-        const auto r =
-            runTcpStream(ServerMode::Remote, msg,
-                         workloads::StreamDir::ServerRx);
-        const auto o =
-            runTcpStream(ServerMode::Ioctopus, msg,
-                         workloads::StreamDir::ServerRx);
-        std::printf("%-8llu %11.2f %13.2f %11.2f %12.2f %18.2f\n",
+        const auto l = runTcpStream(modeConfig(ServerMode::Local), msg,
+                                    workloads::StreamDir::ServerRx);
+        const auto r = runTcpStream(modeConfig(ServerMode::Remote), msg,
+                                    workloads::StreamDir::ServerRx);
+        const auto o = runTcpStream(modeConfig(ServerMode::Ioctopus),
+                                    msg, workloads::StreamDir::ServerRx);
+        std::printf("%-8llu %11.2f %13.2f %11.2f %12.2f %18.2f"
+                    "  %6.2f /%6.2f /%6.2f  %5.2f /%5.2f /%5.2f\n",
                     static_cast<unsigned long long>(msg), l.gbps, r.gbps,
                     o.gbps, o.gbps / r.gbps,
-                    r.membwGbps / r.gbps);
+                    r.membwGbps / r.gbps, l.membwGbps, r.membwGbps,
+                    o.membwGbps, l.cpuCores, r.cpuCores, o.cpuCores);
     }
     if (obs)
         runTraced(obs);
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

@@ -9,8 +9,6 @@
  * roughly equals its network throughput while ioct/local stays near
  * zero.
  */
-#include <benchmark/benchmark.h>
-
 #include "common.hpp"
 
 using namespace octo;
@@ -20,65 +18,41 @@ namespace {
 
 const std::uint64_t kSizes[] = {64, 256, 1024, 4096, 16384, 65536};
 
-void
-Fig07(benchmark::State& state)
-{
-    const auto mode = static_cast<ServerMode>(state.range(0));
-    const std::uint64_t msg = kSizes[state.range(1)];
-    StreamResult r{};
-    for (auto _ : state)
-        r = runTcpStream(mode, msg, workloads::StreamDir::ServerTx);
-    state.counters["tput_Gbps"] = r.gbps;
-    state.counters["membw_Gbps"] = r.membwGbps;
-    state.counters["cpu_cores"] = r.cpuCores;
-    state.SetLabel(core::modeName(mode));
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "fig07");
-    for (auto mode : {ServerMode::Local, ServerMode::Remote,
-                      ServerMode::Ioctopus}) {
-        for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-            const std::string name = std::string("fig07/tx/") +
-                core::modeName(mode) + "/" +
-                std::to_string(kSizes[i]) + "B";
-            benchmark::RegisterBenchmark(name.c_str(), &Fig07)
-                ->Args({static_cast<int>(mode), static_cast<int>(i)})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "fig07");
 
     printHeader("Fig. 7 — single-core TCP Tx (TSO) vs message size",
                 "msg      local[Gb/s]  remote[Gb/s]  ioct[Gb/s]  "
-                "remote/local  remote membw/tput");
+                "remote/local  remote membw/tput  "
+                "membw l/r/io[Gb/s]     cpu l/r/io[cores]");
     for (std::uint64_t msg : kSizes) {
-        const auto l = runTcpStream(ServerMode::Local, msg,
+        const auto l = runTcpStream(modeConfig(ServerMode::Local), msg,
                                     workloads::StreamDir::ServerTx);
-        const auto r = runTcpStream(ServerMode::Remote, msg,
+        const auto r = runTcpStream(modeConfig(ServerMode::Remote), msg,
                                     workloads::StreamDir::ServerTx);
-        const auto o = runTcpStream(ServerMode::Ioctopus, msg,
-                                    workloads::StreamDir::ServerTx);
-        std::printf("%-8llu %11.2f %13.2f %11.2f %13.2f %18.2f\n",
+        const auto o = runTcpStream(modeConfig(ServerMode::Ioctopus),
+                                    msg, workloads::StreamDir::ServerTx);
+        std::printf("%-8llu %11.2f %13.2f %11.2f %13.2f %18.2f"
+                    "  %6.2f /%6.2f /%6.2f  %5.2f /%5.2f /%5.2f\n",
                     static_cast<unsigned long long>(msg), l.gbps, r.gbps,
-                    o.gbps, r.gbps / l.gbps, r.membwGbps / r.gbps);
+                    o.gbps, r.gbps / l.gbps, r.membwGbps / r.gbps,
+                    l.membwGbps, r.membwGbps, o.membwGbps, l.cpuCores,
+                    r.cpuCores, o.cpuCores);
     }
     if (obs) {
         // Observability pass: the three presets at 64 KiB, short
         // window, full pipeline (spans + counter tracks + report).
         for (auto mode : {ServerMode::Local, ServerMode::Remote,
                           ServerMode::Ioctopus}) {
-            runTcpStream(mode, 65536, workloads::StreamDir::ServerTx,
-                         sim::fromMs(2), sim::fromMs(3), &obs);
+            runTcpStream(modeConfig(mode), 65536,
+                         workloads::StreamDir::ServerTx, sim::fromMs(2),
+                         sim::fromMs(3), &obs);
         }
     }
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

@@ -8,10 +8,7 @@
  * read of the completion entry the NIC wrote, which DDIO turns into an
  * LLC hit locally. Remote also shows per-packet memory traffic.
  */
-#include <benchmark/benchmark.h>
-
 #include "common.hpp"
-#include "workloads/pktgen.hpp"
 
 using namespace octo;
 using namespace octo::bench;
@@ -20,73 +17,12 @@ namespace {
 
 const std::uint32_t kSizes[] = {64, 128, 256, 512, 1024, 1500};
 
-struct PktgenResult
-{
-    double mpps;
-    double gbps;
-    double membwGbps;
-};
-
-PktgenResult
-runPktgen(ServerMode mode, std::uint32_t size,
-          ObsSession* obs = nullptr)
-{
-    TestbedConfig cfg;
-    cfg.mode = mode;
-    obsBegin(obs, cfg, core::modeName(mode));
-    Testbed tb(cfg);
-    auto t = tb.serverThread(tb.workNode(), 0);
-    workloads::Pktgen gen(tb, t, size);
-    gen.start();
-    if (obs != nullptr)
-        obs->startSampler(tb);
-
-    tb.runFor(kWarmup);
-    Probe probe(tb, {&t.core()}, gen.bytesSent());
-    const std::uint64_t p0 = gen.packetsSent();
-    tb.runFor(kWindow);
-    const double secs = sim::toSec(probe.elapsed());
-    PktgenResult res{(gen.packetsSent() - p0) / secs / 1e6,
-                     probe.gbps(gen.bytesSent()), probe.membwGbps()};
-    if (obs != nullptr)
-        obs->endRun();
-    return res;
-}
-
-void
-Fig08(benchmark::State& state)
-{
-    const auto mode = static_cast<ServerMode>(state.range(0));
-    const std::uint32_t size = kSizes[state.range(1)];
-    PktgenResult r{};
-    for (auto _ : state)
-        r = runPktgen(mode, size);
-    state.counters["mpps"] = r.mpps;
-    state.counters["tput_Gbps"] = r.gbps;
-    state.counters["membw_Gbps"] = r.membwGbps;
-    state.SetLabel(core::modeName(mode));
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "fig08");
-    for (auto mode : {ServerMode::Local, ServerMode::Remote,
-                      ServerMode::Ioctopus}) {
-        for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-            const std::string name = std::string("fig08/pktgen/") +
-                core::modeName(mode) + "/" +
-                std::to_string(kSizes[i]) + "B";
-            benchmark::RegisterBenchmark(name.c_str(), &Fig08)
-                ->Args({static_cast<int>(mode), static_cast<int>(i)})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "fig08");
 
     printHeader("Fig. 8 — single-core pktgen vs packet size",
                 "pkt      local[MPPS/Gb/s]  remote[MPPS/Gb/s]  "
@@ -106,6 +42,5 @@ main(int argc, char** argv)
             runPktgen(mode, 64, &obs);
     }
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

@@ -12,8 +12,6 @@
  * Paper shape: rr adds 10-25% over ll; llnd sits between them (5-15%),
  * showing IOctopus also removes interconnect latency DDIO can't.
  */
-#include <benchmark/benchmark.h>
-
 #include "common.hpp"
 
 using namespace octo;
@@ -80,37 +78,12 @@ runRr(RrConfig rc, std::uint64_t msg, ObsSession* obs = nullptr)
     return res;
 }
 
-void
-Fig09(benchmark::State& state)
-{
-    const auto rc = static_cast<RrConfig>(state.range(0));
-    const std::uint64_t msg = kSizes[state.range(1)];
-    RrResult r{};
-    for (auto _ : state)
-        r = runRr(rc, msg);
-    state.counters["rtt_us"] = r.meanUs;
-    state.counters["rtt_p99_us"] = r.p99Us;
-    state.SetLabel(rrName(rc));
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "fig09");
-    for (auto rc : {RrConfig::Ll, RrConfig::Rr, RrConfig::Llnd}) {
-        for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-            const std::string name = std::string("fig09/rr/") +
-                rrName(rc) + "/" + std::to_string(kSizes[i]) + "B";
-            benchmark::RegisterBenchmark(name.c_str(), &Fig09)
-                ->Args({static_cast<int>(rc), static_cast<int>(i)})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "fig09");
 
     printHeader("Fig. 9 — TCP_RR latency normalized to ll",
                 "msg      ll[us]    rr[us]    llnd[us]   rr/ll   "
@@ -133,6 +106,5 @@ main(int argc, char** argv)
             runRr(rc, 4096, &obs);
     }
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

@@ -9,8 +9,6 @@
  * NUDMA; the value store exceeds the LLC, so even ioct/local shows
  * memory traffic.
  */
-#include <benchmark/benchmark.h>
-
 #include "common.hpp"
 #include "workloads/kvstore.hpp"
 
@@ -58,37 +56,12 @@ runKv(ServerMode mode, int set_pct, ObsSession* obs = nullptr)
     return res;
 }
 
-void
-Fig10(benchmark::State& state)
-{
-    const auto mode = static_cast<ServerMode>(state.range(0));
-    const int pct = static_cast<int>(state.range(1));
-    KvResult r{};
-    for (auto _ : state)
-        r = runKv(mode, pct);
-    state.counters["kT_per_s"] = r.ktps;
-    state.counters["membw_GBps"] = r.membwGBps;
-    state.SetLabel(core::modeName(mode));
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "fig10");
-    for (auto mode : {ServerMode::Ioctopus, ServerMode::Remote}) {
-        for (int pct : {0, 50, 100}) {
-            const std::string name = std::string("fig10/memcached/") +
-                core::modeName(mode) + "/set" + std::to_string(pct);
-            benchmark::RegisterBenchmark(name.c_str(), &Fig10)
-                ->Args({static_cast<int>(mode), pct})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "fig10");
 
     printHeader("Fig. 10 — memcached vs SET ratio",
                 "set%   ioct[kT/s]  remote[kT/s]  ioct/remote  "
@@ -106,6 +79,5 @@ main(int argc, char** argv)
             runKv(mode, 50, &obs);
     }
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

@@ -8,29 +8,18 @@
  * cores. Paper shape: both configurations degrade as STREAM activity
  * grows, but ioct/local stays 1.82-2.67x ahead of remote.
  */
-#include <benchmark/benchmark.h>
-
-#include <memory>
-
 #include "common.hpp"
-#include "workloads/antagonists.hpp"
 
 using namespace octo;
 using namespace octo::bench;
 
 namespace {
 
-struct ColocResult
-{
-    double gbps;
-    double membwGbps;
-};
-
-ColocResult
+/** TCP Rx throughput in Gb/s next to @p stream_pairs STREAM pairs. */
+double
 runColoc(ServerMode mode, int stream_pairs, ObsSession* obs = nullptr)
 {
-    TestbedConfig cfg;
-    cfg.mode = mode;
+    TestbedConfig cfg = modeConfig(mode);
     obsBegin(obs, cfg,
              std::string(core::modeName(mode)) + "/" +
                  std::to_string(stream_pairs) + "pairs");
@@ -40,47 +29,17 @@ runColoc(ServerMode mode, int stream_pairs, ObsSession* obs = nullptr)
     workloads::NetperfStream stream(tb, server_t, client_t, 64u << 10,
                                     workloads::StreamDir::ServerRx);
     stream.start();
-
-    // STREAM pairs on the remaining server cores, split across both
-    // sockets, each targeting the other socket's memory.
-    std::vector<std::unique_ptr<workloads::StreamAntagonist>> ants;
-    int next_core[2] = {1, 1}; // core 0 of work node hosts netperf
-    for (int p = 0; p < stream_pairs; ++p) {
-        const int node = p % 2;
-        for (auto dir : {topo::MemDir::Read, topo::MemDir::Write}) {
-            topo::Core& c =
-                tb.server().coreOn(node, next_core[node]++ %
-                                             tb.server().cal()
-                                                 .coresPerNode);
-            ants.push_back(std::make_unique<workloads::StreamAntagonist>(
-                tb.server(), c, 1 - node, dir));
-            ants.back()->start();
-        }
-    }
+    const auto ants = startStreamPairs(tb, stream_pairs);
 
     if (obs != nullptr)
         obs->startSampler(tb);
     tb.runFor(kWarmup);
     Probe probe(tb, {&server_t.core()}, stream.bytesDelivered());
     tb.runFor(kWindow);
-    ColocResult res{probe.gbps(stream.bytesDelivered()),
-                    probe.membwGbps()};
+    const double gbps = probe.gbps(stream.bytesDelivered());
     if (obs != nullptr)
         obs->endRun();
-    return res;
-}
-
-void
-Fig11(benchmark::State& state)
-{
-    const auto mode = static_cast<ServerMode>(state.range(0));
-    const int pairs = static_cast<int>(state.range(1));
-    ColocResult r{};
-    for (auto _ : state)
-        r = runColoc(mode, pairs);
-    state.counters["tput_Gbps"] = r.gbps;
-    state.counters["membw_Gbps"] = r.membwGbps;
-    state.SetLabel(core::modeName(mode));
+    return gbps;
 }
 
 } // namespace
@@ -88,28 +47,14 @@ Fig11(benchmark::State& state)
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "fig11");
-    for (auto mode : {ServerMode::Ioctopus, ServerMode::Remote}) {
-        for (int pairs : {1, 3, 6}) {
-            const std::string name = std::string("fig11/qpi/") +
-                core::modeName(mode) + "/" + std::to_string(pairs) +
-                "pairs";
-            benchmark::RegisterBenchmark(name.c_str(), &Fig11)
-                ->Args({static_cast<int>(mode), pairs})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "fig11");
 
     printHeader("Fig. 11 — TCP Rx + STREAM interconnect congestion",
                 "pairs  ioct[Gb/s]  remote[Gb/s]  ioct/remote");
     for (int pairs = 1; pairs <= 6; ++pairs) {
-        const auto o = runColoc(ServerMode::Ioctopus, pairs);
-        const auto r = runColoc(ServerMode::Remote, pairs);
-        std::printf("%-6d %10.2f %13.2f %12.2f\n", pairs, o.gbps,
-                    r.gbps, o.gbps / r.gbps);
+        const double o = runColoc(ServerMode::Ioctopus, pairs);
+        const double r = runColoc(ServerMode::Remote, pairs);
+        std::printf("%-6d %10.2f %13.2f %12.2f\n", pairs, o, r, o / r);
     }
     if (obs) {
         // Observability pass: heaviest congestion point, both presets —
@@ -118,6 +63,5 @@ main(int argc, char** argv)
             runColoc(mode, 6, &obs);
     }
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

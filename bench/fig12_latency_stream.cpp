@@ -7,12 +7,7 @@
  * DMAs never cross the interconnect); remote latency grows with
  * congestion and sits 10-22% above ioct/local.
  */
-#include <benchmark/benchmark.h>
-
-#include <memory>
-
 #include "common.hpp"
-#include "workloads/antagonists.hpp"
 
 using namespace octo;
 using namespace octo::bench;
@@ -35,20 +30,7 @@ runLatency(ServerMode mode, int stream_pairs, ObsSession* obs = nullptr)
     workloads::RrWorkload rr(tb, server_t, client_t, 64, /*tso=*/false);
     rr.start();
 
-    std::vector<std::unique_ptr<workloads::StreamAntagonist>> ants;
-    int next_core[2] = {1, 1};
-    for (int p = 0; p < stream_pairs; ++p) {
-        const int node = p % 2;
-        for (auto dir : {topo::MemDir::Read, topo::MemDir::Write}) {
-            topo::Core& c =
-                tb.server().coreOn(node, next_core[node]++ %
-                                             tb.server().cal()
-                                                 .coresPerNode);
-            ants.push_back(std::make_unique<workloads::StreamAntagonist>(
-                tb.server(), c, 1 - node, dir));
-            ants.back()->start();
-        }
-    }
+    const auto ants = startStreamPairs(tb, stream_pairs);
 
     if (obs != nullptr)
         obs->startSampler(tb);
@@ -61,37 +43,12 @@ runLatency(ServerMode mode, int stream_pairs, ObsSession* obs = nullptr)
     return mean;
 }
 
-void
-Fig12(benchmark::State& state)
-{
-    const auto mode = static_cast<ServerMode>(state.range(0));
-    const int pairs = static_cast<int>(state.range(1));
-    double us = 0;
-    for (auto _ : state)
-        us = runLatency(mode, pairs);
-    state.counters["latency_us"] = us;
-    state.SetLabel(core::modeName(mode));
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "fig12");
-    for (auto mode : {ServerMode::Ioctopus, ServerMode::Remote}) {
-        for (int pairs : {1, 3, 6}) {
-            const std::string name = std::string("fig12/latency/") +
-                core::modeName(mode) + "/" + std::to_string(pairs) +
-                "pairs";
-            benchmark::RegisterBenchmark(name.c_str(), &Fig12)
-                ->Args({static_cast<int>(mode), pairs})
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "fig12");
 
     printHeader("Fig. 12 — 64B message latency + STREAM congestion",
                 "pairs  ioct[us]  remote[us]  ioct/remote");
@@ -106,6 +63,5 @@ main(int argc, char** argv)
             runLatency(mode, 6, &obs);
     }
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

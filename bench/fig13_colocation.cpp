@@ -10,8 +10,6 @@
  * comparable in both configurations while memcached's suffers when
  * sharing the QPI with PR.
  */
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common.hpp"
@@ -107,9 +105,7 @@ runColoc(ServerMode mode, bool use_memcached, ObsSession* obs = nullptr)
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "fig13");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "fig13");
 
     printHeader("Fig. 13 — PageRank co-located with I/O workloads",
                 "io-load    config    PR time[s]  netperf[Gb/s]  "
@@ -131,6 +127,5 @@ main(int argc, char** argv)
             runColoc(mode, false, &obs);
     }
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

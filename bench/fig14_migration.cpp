@@ -15,8 +15,6 @@
  * steering updates settle in tens of microseconds, far below either
  * sampling period.
  */
-#include <benchmark/benchmark.h>
-
 #include "common.hpp"
 
 using namespace octo;
@@ -86,15 +84,12 @@ runMigration(ServerMode mode, ObsSession* obs = nullptr)
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "fig14");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "fig14");
 
     printHeader("Fig. 14 — thread migration and the steering switch",
                 "(time series below)");
     runMigration(ServerMode::Ioctopus, &obs);
     runMigration(ServerMode::Local, &obs); // standard fw, starts local
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

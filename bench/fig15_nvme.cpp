@@ -11,8 +11,6 @@
  * paper's future work, which we implement) is immune; printed as an
  * extra column.
  */
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common.hpp"
@@ -121,33 +119,12 @@ runNvme(int n_streams, bool octo_ssd, ObsSession* obs = nullptr)
     return res;
 }
 
-void
-Fig15(benchmark::State& state)
-{
-    const int n = static_cast<int>(state.range(0));
-    NvmeResult r{};
-    for (auto _ : state)
-        r = runNvme(n, false);
-    state.counters["fio_GBps"] = r.fioGBps;
-    state.counters["stream_GBps"] = r.streamGBps;
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "fig15");
-    for (int n : {0, 5, 10}) {
-        const std::string name =
-            "fig15/nvme/" + std::to_string(n) + "streams";
-        benchmark::RegisterBenchmark(name.c_str(), &Fig15)
-            ->Args({n})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "fig15");
 
     const double fio_base = runNvme(0, false).fioGBps;
     const double stream_base = runNvme(1, false).streamGBps;
@@ -172,6 +149,5 @@ main(int argc, char** argv)
         runNvme(6, true, &obs);
     }
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

@@ -17,8 +17,6 @@
  * `nvme_degradation.csv` with every 5 ms sample (CI runs this binary as
  * a smoke test and checks the CSV is non-empty).
  */
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -201,10 +199,8 @@ writeCsv(const NvmeRun& run)
 int
 main(int argc, char** argv)
 {
-    bench::ObsSession obs(bench::consumeObsFlags(argc, argv),
+    bench::ObsSession obs(bench::parseFlags(argc, argv).obs,
                           "nvme_degradation");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
 
     std::printf("\n### OctoSSD degradation — per-queue steering on the "
                 "NVMe plane\n(time series below)\n");
@@ -232,6 +228,5 @@ main(int argc, char** argv)
         std::printf("# WARNING: monitored retention below the 75%% "
                     "acceptance bar\n");
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

@@ -31,16 +31,16 @@
  * the flow count.
  *
  * Output: an `obs_scale.csv` table plus printed rows; exits nonzero
- * on any conservation or bound violation. OCTO_OBS_SCALE_QUICK=1
- * trims the sweep for CI.
+ * on any conservation or bound violation. `--quick` trims the sweep
+ * for CI.
  */
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "obs/dma.hpp"
 #include "obs/hub.hpp"
 #include "sim/rng.hpp"
@@ -162,9 +162,9 @@ runPass(const std::string& mode, int top_k, std::uint64_t flows,
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
-    const bool quick = std::getenv("OCTO_OBS_SCALE_QUICK") != nullptr;
+    const bool quick = octo::bench::parseFlags(argc, argv).quick;
     // Fixed record count per pass so ns/record averages stabilize:
     // cost flatness across flow counts is the claim under test, and a
     // shared denominator keeps the comparison honest.

@@ -9,8 +9,6 @@
  * We reproduce by comparing remote pktgen with the completion ring on
  * the workload's node (default) vs on the NIC's node.
  */
-#include <benchmark/benchmark.h>
-
 #include "common.hpp"
 #include "workloads/pktgen.hpp"
 
@@ -58,9 +56,7 @@ runPktgenRing(bool ring_on_nic_node, ObsSession* obs = nullptr)
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "s24");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "s24");
 
     printHeader("§2.4 ablation — response-ring placement for remote "
                 "pktgen",
@@ -72,6 +68,5 @@ main(int argc, char** argv)
     std::printf("improvement: %.1f%% (paper: <= ~2%%)\n",
                 (nic_local / app_local - 1.0) * 100.0);
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

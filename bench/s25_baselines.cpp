@@ -14,8 +14,6 @@
  * Paper claim: only IOctopus keeps every flow NUDMA-free once threads
  * move; the alternatives strand roughly half the flows on a remote PF.
  */
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common.hpp"
@@ -107,9 +105,7 @@ runDynamic(ServerMode mode, ObsSession* obs = nullptr)
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "s25");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "s25");
 
     printHeader("§2.5 baselines — dynamic (migrating) flows",
                 "config    tput[Gb/s]  qpi[Gb/s]  remote-PF flows");

@@ -14,8 +14,6 @@
  * single-core runs even ioct/local shows memory traffic because the
  * combined working set exceeds the LLC.
  */
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "common.hpp"
@@ -105,36 +103,12 @@ runMulticore(Placement placement, ObsSession* obs = nullptr)
     return res;
 }
 
-void
-S51(benchmark::State& state)
-{
-    const auto p = static_cast<Placement>(state.range(0));
-    MulticoreResult r{};
-    for (auto _ : state)
-        r = runMulticore(p);
-    state.counters["tput_Gbps"] = r.gbps;
-    state.counters["membw_Gbps"] = r.membwGbps;
-    state.counters["qpi_Gbps"] = r.qpiGbps;
-    state.SetLabel(placementName(p));
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "s51");
-    for (auto p :
-         {Placement::Straight, Placement::Crossed, Placement::Octo}) {
-        const std::string name =
-            std::string("s51/multicore/") + placementName(p);
-        benchmark::RegisterBenchmark(name.c_str(), &S51)
-            ->Args({static_cast<int>(p)})
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "s51");
 
     printHeader("§5.1 — multi-core TCP Rx (all 28 cores)",
                 "config    tput[Gb/s]  membw[Gb/s]  qpi[Gb/s]  "
@@ -147,6 +121,5 @@ main(int argc, char** argv)
                     r.cpuCores);
     }
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

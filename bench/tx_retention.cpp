@@ -21,15 +21,11 @@
  * Output: a printed per-PF Tx timeline with the override rate, and
  * `tx_retention.csv` with the monitored run's 10 ms samples in the
  * report's long format (run,series,unit,time_ms,value; the override
- * series is an events-per-second rate, unit `per_s`). With
- * `--trace`/OCTO_TRACE the monitored run also records steering/health
- * trace events into `tx_retention_trace.json` plus a Prometheus
- * snapshot in `tx_retention_metrics.prom`.
+ * series is an events-per-second rate, unit `per_s`). With `--trace`
+ * the monitored run also records steering/health trace events into
+ * `tx_retention_trace.json` plus a Prometheus snapshot in
+ * `tx_retention_metrics.prom`.
  */
-#include <benchmark/benchmark.h>
-
-#include <vector>
-
 #include "common.hpp"
 
 using namespace octo;
@@ -74,25 +70,9 @@ runTimeline(bool monitored, bool print, ObsSession* obs,
     // The senders run on node 0, so XPS posts through PF0 — the
     // endpoint the plan retrains down to x2 — until the monitor's
     // weights make queueForCore pick a PF1 ring instead.
-    std::vector<os::ThreadCtx> sctx;
-    std::vector<os::ThreadCtx> cctx;
-    for (int i = 0; i < streams; ++i) {
-        sctx.push_back(tb.serverThread(0, i));
-        cctx.push_back(tb.clientThread(i));
-    }
-    std::vector<std::unique_ptr<workloads::NetperfStream>> netperf;
-    for (int i = 0; i < streams; ++i) {
-        netperf.push_back(std::make_unique<workloads::NetperfStream>(
-            tb, sctx[i], cctx[i], 64u << 10,
-            workloads::StreamDir::ServerTx));
-        netperf.back()->start();
-    }
-    auto app_bytes = [&] {
-        std::uint64_t total = 0;
-        for (const auto& s : netperf)
-            total += s->bytesDelivered();
-        return total;
-    };
+    const NodeZeroStreams netperf(tb, streams,
+                                  workloads::StreamDir::ServerTx);
+    auto app_bytes = [&netperf] { return netperf.delivered(); };
 
     obs::Hub own;
     obs::Report timeline;
@@ -162,9 +142,7 @@ runTimeline(bool monitored, bool print, ObsSession* obs,
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "tx_retention");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    ObsSession obs(parseFlags(argc, argv).obs, "tx_retention");
 
     printHeader("Tx retention — health-aware XPS under a degraded PF",
                 "(time series below)");
@@ -197,7 +175,6 @@ main(int argc, char** argv)
                 static_cast<unsigned long long>(with.overrides),
                 static_cast<unsigned long long>(multi.overrides));
     obs.finish();
-    benchmark::Shutdown();
     if (multi.overrides == 0) {
         std::fprintf(stderr,
                      "FAIL: expected nonzero per-post XPS overrides "

@@ -16,8 +16,8 @@
  * goodput, on both presets.
  *
  * Sweep: skew s in {0.9, 1.2} x {1k, 100k} flows x {reactive,
- * monitored} x {remote, remote-poll}. `OCTO_ZIPF_QUICK=1` trims to
- * s=1.2/1k flows (the CI smoke leg). Results land in
+ * monitored} x {remote, remote-poll}. `--quick` trims to s=1.2/1k
+ * flows (the CI smoke leg). Results land in
  * zipf_steering.csv; `--trace` adds the observability pass whose
  * report.json carries the v2 `regions` section (heatmap input).
  */
@@ -26,12 +26,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
-
-#include <benchmark/benchmark.h>
 
 #include "common.hpp"
 #include "sim/rng.hpp"
@@ -51,13 +47,6 @@ constexpr double kQpiGbps = 22.0; ///< Saturated by ~30 Gb/s remote DMA.
 
 const double kSkews[] = {0.9, 1.2};
 const int kFlowCounts[] = {1000, 100000};
-
-bool
-quickMode()
-{
-    const char* e = std::getenv("OCTO_ZIPF_QUICK");
-    return e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0;
-}
 
 /** Zipf(s) sampler over ranks 0..n-1 via inverse-CDF binary search. */
 class ZipfGen
@@ -130,20 +119,6 @@ pollWorker(Testbed& tb, bypass::PollPort& port, const ZipfGen& zipf,
     }
 }
 
-/** Bypass server drain: every port polls its own queue to the sink. */
-sim::Task<>
-sinkLoop(bypass::PollPort& port)
-{
-    std::vector<bypass::RxPacket> pkts(16);
-    for (;;) {
-        const int n =
-            co_await port.rxBurst(pkts.data(),
-                                  static_cast<int>(pkts.size()));
-        for (int i = 0; i < n; ++i)
-            port.freePacket(pkts[i]);
-    }
-}
-
 struct ZipfResult
 {
     double localShare = 0.0; ///< DMA-local fraction of delivered frames.
@@ -187,7 +162,7 @@ runZipf(bool bypass, double skew, int flows, bool monitored,
                              : kInflight));
     if (bypass) {
         for (int p = 0; p < tb.serverPoll()->portCount(); ++p)
-            loops.push_back(sinkLoop(tb.serverPoll()->port(p)));
+            loops.push_back(burstSink(tb.serverPoll()->port(p), 16));
         for (int w = 0; w < kWorkers; ++w)
             loops.push_back(pollWorker(tb, tb.clientPoll()->port(w),
                                        zipf, rng, *windows[w], gap));
@@ -236,18 +211,6 @@ runZipf(bool bypass, double skew, int flows, bool monitored,
                              static_cast<double>(total)
                        : 0.0;
     r.gbps = static_cast<double>(total) * kPktBytes * 8.0 / secs / 1e9;
-    if (mon != nullptr && std::getenv("OCTO_ZIPF_DEBUG") != nullptr) {
-        std::fprintf(stderr,
-                     "# dbg host_ms=%.1f overhead_ms=%.3f records=%llu"
-                     " flush_ms=%.3f tick_ms=%.3f append_ms=%.3f\n",
-                     hostNs / 1e6,
-                     static_cast<double>(mon->overheadNs() - oh0) / 1e6,
-                     static_cast<unsigned long long>(
-                         mon->recordsSeen()),
-                     static_cast<double>(mon->flushNs()) / 1e6,
-                     static_cast<double>(mon->tickSelfNs()) / 1e6,
-                     static_cast<double>(mon->appendNs()) / 1e6);
-    }
     if (mon != nullptr) {
         r.regions = mon->regions().regionCount();
         r.overheadPct =
@@ -268,54 +231,15 @@ runZipf(bool bypass, double skew, int flows, bool monitored,
     return r;
 }
 
-void
-ZipfBench(benchmark::State& state)
-{
-    const bool bypass = state.range(0) != 0;
-    const double skew = kSkews[state.range(1)];
-    const int flows = kFlowCounts[state.range(2)];
-    const bool monitored = state.range(3) != 0;
-    ZipfResult r{};
-    for (auto _ : state)
-        r = runZipf(bypass, skew, flows, monitored);
-    state.counters["local_share"] = r.localShare;
-    state.counters["tput_Gbps"] = r.gbps;
-    state.counters["promotions"] = static_cast<double>(r.promotions);
-    state.SetLabel(monitored ? "monitored" : "reactive");
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(consumeObsFlags(argc, argv), "zipf_steering");
-    const bool quick = quickMode();
-    const std::size_t skewLo = quick ? 1 : 0;
-    const std::size_t flowsHi = quick ? 1 : std::size(kFlowCounts);
-
-    for (int bypass = 0; bypass <= 1; ++bypass) {
-        for (std::size_t s = skewLo; s < std::size(kSkews); ++s) {
-            for (std::size_t f = 0; f < flowsHi; ++f) {
-                for (int mon = 0; mon <= 1; ++mon) {
-                    char name[128];
-                    std::snprintf(
-                        name, sizeof name,
-                        "zipf_steering/%s/s%.1f/%dflows/%s",
-                        bypass ? "remote-poll" : "remote", kSkews[s],
-                        kFlowCounts[f],
-                        mon ? "monitored" : "reactive");
-                    benchmark::RegisterBenchmark(name, &ZipfBench)
-                        ->Args({bypass, static_cast<int>(s),
-                                static_cast<int>(f), mon})
-                        ->Iterations(1)
-                        ->Unit(benchmark::kMillisecond);
-                }
-            }
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    const Flags flags = parseFlags(argc, argv);
+    ObsSession obs(flags.obs, "zipf_steering");
+    const std::size_t skewLo = flags.quick ? 1 : 0;
+    const std::size_t flowsHi = flags.quick ? 1 : std::size(kFlowCounts);
 
     std::FILE* csv = std::fopen("zipf_steering.csv", "w");
     if (csv != nullptr) {
@@ -376,6 +300,5 @@ main(int argc, char** argv)
                         mon != 0, &obs);
     }
     obs.finish();
-    benchmark::Shutdown();
     return 0;
 }

@@ -221,17 +221,6 @@ class AccessMonitor
     std::uint64_t splits() const { return set_.splits(); }
     std::uint64_t merges() const { return set_.merges(); }
 
-    /** Self-cost breakdown: exactly-timed flush batches, exactly-timed
-     *  ticks, and the sampled append estimate. */
-    std::uint64_t flushNs() const { return recordNs_; }
-    std::uint64_t tickSelfNs() const { return tickNs_; }
-    std::uint64_t
-    appendNs() const
-    {
-        return static_cast<std::uint64_t>(
-            static_cast<double>(overheadCyc_) * nsPerCyc_);
-    }
-
     /** Estimated wall ns spent in the monitor (sampled record path +
      *  exact tick path) — the self-cost bound's numerator. */
     std::uint64_t

@@ -10,9 +10,8 @@ using sim::Tick;
 using steer::Endpoint;
 using steer::EndpointTelemetry;
 
-NvmeDriver::NvmeDriver(NvmeDevice& dev, NvmeDriverConfig cfg)
-    : dev_(dev), cfg_(cfg),
-      flows_(obs::hub(dev.host().sim()), dev.name())
+NvmeDriver::NvmeDriver(NvmeDevice& dev)
+    : dev_(dev), flows_(obs::hub(dev.host().sim()), dev.name())
 {
     if (obs::Hub* h = obs::hub(dev_.host().sim())) {
         tracePid_ = h->pidFor(dev_.name());
@@ -244,7 +243,7 @@ Task<>
 NvmeDriver::drainTask(int sq_id)
 {
     sim::Simulator& sim = dev_.host().sim();
-    const Tick deadline = sim.now() + cfg_.drainWatchdog;
+    const Tick deadline = sim.now() + kDrainWatchdog;
     while (sqs_.at(sq_id).inflight > 0) {
         if (sim.now() >= deadline) {
             ++watchdogFires_;

@@ -27,15 +27,6 @@
 
 namespace octo::nvme {
 
-/** Tunables for the multi-queue driver. */
-struct NvmeDriverConfig
-{
-    /** Watchdog timeout on an administrative SQ drain: a queue whose
-     *  in-flight IOs refuse to complete delays the drain by at most
-     *  this long. */
-    sim::Tick drainWatchdog = sim::fromMs(5);
-};
-
 /** One per-node submission queue: port binding + in-flight accounting. */
 struct NvmeSq
 {
@@ -60,7 +51,12 @@ struct NvmeSq
 class NvmeDriver : public steer::SteerablePlane
 {
   public:
-    explicit NvmeDriver(NvmeDevice& dev, NvmeDriverConfig cfg = {});
+    /** Watchdog timeout on an administrative SQ drain: a queue whose
+     *  in-flight IOs refuse to complete delays the drain by at most
+     *  this long. */
+    static constexpr sim::Tick kDrainWatchdog = sim::fromMs(5);
+
+    explicit NvmeDriver(NvmeDevice& dev);
 
     NvmeDevice& device() { return dev_; }
 
@@ -161,7 +157,6 @@ class NvmeDriver : public steer::SteerablePlane
     int stripePort(const NvmeSq& sq) const;
 
     NvmeDevice& dev_;
-    NvmeDriverConfig cfg_;
     std::vector<NvmeSq> sqs_;
     std::vector<double> pfWeights_;
     std::vector<sim::Task<>> drains_;

@@ -10,14 +10,16 @@ behaviour, not just performance.
 
 Usage:
     python3 tools/check_golden.py <bench-binary> <report-name> \
-        <golden-file> [KEY=VALUE ...]
+        <golden-file> [bench-arg ...]
+
+Arguments after the golden file are passed to the bench as they are.
 
 Example:
     python3 tools/check_golden.py build/bench/bench_fig06_tcp_rx \
         fig06_report.json tests/golden/fig06_report.json
     python3 tools/check_golden.py build/bench/bench_chaos_soak \
         chaos_soak_report.json tests/golden/chaos_soak_report.json \
-        OCTO_CHAOS_QUICK=1
+        --quick
 """
 
 import os
@@ -33,16 +35,11 @@ def main(argv):
     bench = os.path.abspath(argv[1])
     report_name = argv[2]
     golden_path = os.path.abspath(argv[3])
-    env = dict(os.environ)
-    for kv in argv[4:]:
-        key, _, value = kv.partition("=")
-        env[key] = value
 
     with tempfile.TemporaryDirectory(prefix="octo_golden_") as tmp:
         proc = subprocess.run(
-            [bench, "--sample-us", "1000"],
+            [bench, "--sample-us", "1000", *argv[4:]],
             cwd=tmp,
-            env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.STDOUT,
             check=False,
