@@ -177,7 +177,6 @@ NicDevice::rxPath(Frame f)
         // no dead-PF drop, no per-PF stat — stock telemetry stays
         // flat. Only the sink's byte accounting learns of it, which is
         // what the retry path needs to reclaim the window credit.
-        ++grayRxDrops_;
         if (sink_ != nullptr)
             sink_->frameLost(f.flow, f.payloadBytes);
         co_return;
@@ -200,16 +199,14 @@ NicDevice::rxPath(Frame f)
         flows_.record(f.flow.hash(),
                       [&f] { return flowLabel(f.flow); },
                       f.payloadBytes, q.pf->node() == q.bufNode,
-                      c.dataLoc == mem::DataLoc::Llc,
-                      tenantOf_ ? tenantOf_(f.flow) : -1);
+                      c.dataLoc == mem::DataLoc::Llc);
     }
     c.cqeLoc = co_await q.pf->dmaWrite(q.bufNode, 64);
     if (flows_.active()) {
         flows_.record(f.flow.hash(),
                       [&f] { return flowLabel(f.flow); }, 64,
                       q.pf->node() == q.bufNode,
-                      c.cqeLoc == mem::DataLoc::Llc,
-                      tenantOf_ ? tenantOf_(f.flow) : -1);
+                      c.cqeLoc == mem::DataLoc::Llc);
     }
     q.rxFrames.add();
     q.rxCq.tryPush(c); // capacity == ring credits: cannot fail
@@ -282,7 +279,6 @@ NicDevice::stallQueue(int qid, Tick duration)
     q.stalledUntil = std::max(q.stalledUntil, until);
     ++q.stallEvents;
     ++queueStallEvents_;
-    ++pfStats_.at(q.pf->id()).stallEvents;
 }
 
 void
@@ -327,8 +323,7 @@ NicDevice::txProcess(NicQueue& q, TxDesc d)
         flows_.record(d.flow.hash(),
                       [&d] { return flowLabel(d.flow); },
                       main_bytes + 64, local,
-                      d.loc == mem::DataLoc::Llc && local,
-                      tenantOf_ ? tenantOf_(d.flow) : -1);
+                      d.loc == mem::DataLoc::Llc && local);
     }
     if (d.spanBytes > 0) {
         // Cross-node fragment: with IOctoSG the driver's hint routes the
@@ -345,8 +340,7 @@ NicDevice::txProcess(NicQueue& q, TxDesc d)
             flows_.record(d.flow.hash(),
                           [&d] { return flowLabel(d.flow); },
                           d.spanBytes, local,
-                          d.loc == mem::DataLoc::Llc && local,
-                          tenantOf_ ? tenantOf_(d.flow) : -1);
+                          d.loc == mem::DataLoc::Llc && local);
         }
     }
 
@@ -380,7 +374,6 @@ NicDevice::txProcess(NicQueue& q, TxDesc d)
         // A gray PF swallows the probe's completion: the prober sees a
         // watchdog timeout (a huge RTT outlier) instead of a wedged
         // tenant semaphore — probe descriptors hold no window credit.
-        ++grayCqDrops_;
         co_return;
     }
     TxCompletion tc;
@@ -390,8 +383,7 @@ NicDevice::txProcess(NicQueue& q, TxDesc d)
         flows_.record(d.flow.hash(),
                       [&d] { return flowLabel(d.flow); }, 64,
                       q.pf->node() == q.bufNode,
-                      tc.cqeLoc == mem::DataLoc::Llc,
-                      tenantOf_ ? tenantOf_(d.flow) : -1);
+                      tc.cqeLoc == mem::DataLoc::Llc);
     }
     q.txCq.tryPush(tc);
     maybeRaiseTxIrq(q);

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -182,7 +181,6 @@ class NicDevice
      *  to a member netdev — the static link aggregation that cannot
      *  follow a migrating thread. */
     void setBondMode(bool on) { bondMode_ = on; }
-    bool bondMode() const { return bondMode_; }
 
     /** Enable IOctoSG: descriptors carrying a cross-node fragment hint
      *  are fetched through the PF local to each fragment (§3.3). */
@@ -250,15 +248,6 @@ class NicDevice
     /** Flow-grain DMA attribution (bounded top-K sketch; read-only). */
     const obs::DmaAccountant& flows() const { return flows_; }
 
-    /** Map flows to tenant ids for exact tenant_dma_* rollup rows; a
-     *  negative return (or no classifier) skips the rollup. Consulted
-     *  only when attribution is active. */
-    void
-    setTenantClassifier(std::function<int(const FiveTuple&)> fn)
-    {
-        tenantOf_ = std::move(fn);
-    }
-
     // -------------------------------------------------------- data path
     /**
      * Host posts a Tx descriptor; suspends while the ring is full.
@@ -294,13 +283,6 @@ class NicDevice
     /** Tx descriptors aborted (error completion) on a dead PF. */
     std::uint64_t txAborts() const { return txAborts_; }
 
-    /** Ground-truth gray losses (Rx frames / probe completions
-     *  silently swallowed by a gray PF). Test-only visibility: these
-     *  are deliberately not exported as metrics and do not feed the
-     *  per-PF health telemetry. */
-    std::uint64_t grayRxDrops() const { return grayRxDrops_; }
-    std::uint64_t grayCqDrops() const { return grayCqDrops_; }
-
     /** Queue-stall fault events applied. */
     std::uint64_t queueStallEvents() const { return queueStallEvents_; }
 
@@ -333,13 +315,6 @@ class NicDevice
         return pfStats_.at(idx).txAborts;
     }
 
-    /** Stall fault events applied to queues bound to PF @p idx. */
-    std::uint64_t
-    pfStallEvents(int idx) const
-    {
-        return pfStats_.at(idx).stallEvents;
-    }
-
   private:
     /** Per-PF slice of the fault counters (the health monitor samples
      *  these to attribute sickness to an endpoint). */
@@ -347,7 +322,6 @@ class NicDevice
     {
         std::uint64_t deadDrops = 0;
         std::uint64_t txAborts = 0;
-        std::uint64_t stallEvents = 0;
     };
 
     Task<> rxPath(Frame f);
@@ -381,15 +355,12 @@ class NicDevice
     std::uint64_t rxDrops_ = 0;
     std::uint64_t deadPfDrops_ = 0;
     std::uint64_t txAborts_ = 0;
-    std::uint64_t grayRxDrops_ = 0;
-    std::uint64_t grayCqDrops_ = 0;
     std::uint64_t queueStallEvents_ = 0;
     std::uint64_t queuePoisonEvents_ = 0;
     std::uint64_t pfKills_ = 0;
     std::uint64_t pfRecoveries_ = 0;
 
     obs::DmaAccountant flows_; ///< Flow-grain DMA attribution.
-    std::function<int(const FiveTuple&)> tenantOf_;
     int tracePid_ = 0;
 };
 

@@ -11,8 +11,8 @@
  *
  * Attribution is a Space-Saving top-K heavy-hitter sketch
  * (obs::SpaceSaving, K = the constructor's top_k, default 64) per
- * device: the K heaviest flows own labeled registry rows {dev, flow}
- * of five counters, exactly as when every flow had a row —
+ * device: the K heaviest flows own labeled rows {dev, flow} of five
+ * counters, exactly as when every flow had a row —
  *
  *     flow_dma_local_bytes      payload bytes via a socket-local PF
  *     flow_dma_remote_bytes     payload bytes that crossed sockets
@@ -28,10 +28,11 @@
  * device no matter how many flows live and die (the old design
  * materialized an unbounded row per key).
  *
- * Rollups: a record tagged with a tenant id additionally feeds exact
- * tenant_dma_* rows {dev, tenant} — bounded by the tenant count, never
- * sketched — so multi-tenant fairness work has per-tenant locality
- * observables from day one.
+ * The sketch cells are the only per-flow store: each holds its flow's
+ * label and five counters, and the accountant registers the cells
+ * with the registry as one CounterFamily, which reads them on demand.
+ * Admitting a flow registers nothing and evicting one erases nothing;
+ * ~other is a stored registry row, created at the first eviction.
  *
  * Self-cost: records and evictions are counted (obs_attr_records_total,
  * flow_evictions_total, flow_rows gauge); bench_obs_scale times the
@@ -44,8 +45,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <iterator>
 #include <string>
-#include <unordered_map>
+#include <vector>
 #include <utility>
 
 #include "obs/flow_sketch.hpp"
@@ -53,13 +55,15 @@
 
 namespace octo::obs {
 
-class DmaAccountant
+class DmaAccountant : private CounterFamily
 {
   public:
     /** Sketch capacity of every model-owned accountant. */
     static constexpr int kDefaultTopK = 64;
 
-    /** @param hub  Null makes every record() a no-op.
+    /** @param hub  Null makes every record() a no-op; otherwise it
+     *              must outlive the accountant, which unregisters its
+     *              rows from the hub's registry when it dies.
      *  @param dev  Device label stamped on every flow row.
      *  @param top_k Sketch capacity (> 0). A K at or above the live
      *               flow count never evicts: one exact row per flow. */
@@ -71,6 +75,10 @@ class DmaAccountant
         if (reg_ == nullptr)
             return;
         const Labels l = {{"dev", dev_}};
+        reg_->addFamily(*this,
+                        std::vector<std::string>(std::begin(kNames),
+                                                 std::end(kNames)),
+                        "flow", l);
         reg_->gaugeFn("flow_rows", l, [this] {
             return static_cast<double>(flowCount());
         });
@@ -83,6 +91,15 @@ class DmaAccountant
         });
     }
 
+    ~DmaAccountant()
+    {
+        if (reg_ != nullptr)
+            reg_->removeFamily(*this);
+    }
+
+    DmaAccountant(const DmaAccountant&) = delete;
+    DmaAccountant& operator=(const DmaAccountant&) = delete;
+
     bool active() const { return reg_ != nullptr; }
 
     /**
@@ -91,36 +108,37 @@ class DmaAccountant
      * when the key enters the sketch — flow formatting stays off the
      * steady-state hot path, and no closure object is materialized at
      * all on the inactive path. @p local: the PF and the memory share
-     * a socket. @p ddio_hit: the LLC absorbed it. @p tenant >= 0
-     * additionally feeds that tenant's exact rollup row.
+     * a socket. @p ddio_hit: the LLC absorbed it.
      */
     template <typename LabelFn>
     void
     record(std::uint64_t key, LabelFn&& label, std::uint64_t bytes,
-           bool local, bool ddio_hit, int tenant = -1)
+           bool local, bool ddio_hit)
     {
         if (reg_ == nullptr)
             return;
         ++records_;
 
         Sketch::Outcome out;
-        Sketch::Entry displaced;
-        Sketch::Entry& e = sketch_.update(key, bytes, out, displaced);
+        Sketch::Entry& e = sketch_.update(key, bytes, out, displaced_);
         switch (out) {
           case Sketch::Outcome::Updated:
             break;
           case Sketch::Outcome::Replaced:
-            fold(displaced.payload);
+            fold(displaced_.payload);
             [[fallthrough]];
           case Sketch::Outcome::Admitted:
             e.payload.label = label();
-            e.payload.row = makeRow("flow", e.payload.label);
             break;
         }
-        apply(e.payload, bytes, local, ddio_hit);
-
-        if (tenant >= 0)
-            applyRow(tenantRow(tenant), bytes, local, ddio_hit);
+        Counter* c = e.payload.n;
+        if (local) {
+            c[kLocal].add(bytes);
+        } else {
+            c[kRemote].add(bytes);
+            c[kCrossings].add();
+        }
+        c[ddio_hit ? kDdioHits : kDdioMisses].add();
     }
 
     /** Resident attribution rows: sketch occupancy (<= topK()). */
@@ -132,145 +150,75 @@ class DmaAccountant
     /** Sketch capacity. */
     int topK() const { return static_cast<int>(sketch_.capacity()); }
 
-    /** Attribution calls accepted (both sketch and rollup paths). */
+    /** Attribution calls accepted. */
     std::uint64_t selfRecords() const { return records_; }
 
   private:
-    struct Row
+    /** Counter columns of a flow row, in kNames order. */
+    enum Column
     {
-        Counter* local = nullptr;
-        Counter* remote = nullptr;
-        Counter* crossings = nullptr;
-        Counter* ddioHits = nullptr;
-        Counter* ddioMisses = nullptr;
+        kLocal,
+        kRemote,
+        kCrossings,
+        kDdioHits,
+        kDdioMisses,
+        kColumns,
     };
 
-    /** Exact per-resident-flow bookkeeping: mirrors the registry row
-     *  so eviction can fold the full history into ~other without
-     *  re-reading (or trusting) registry state. */
+    static constexpr const char* kNames[kColumns] = {
+        "flow_dma_local_bytes", "flow_dma_remote_bytes",
+        "flow_interconnect_crossings", "flow_ddio_hits",
+        "flow_ddio_misses"};
+
+    /** One resident flow: its label, formatted at admission, and its
+     *  exact counts since then — the registry reads them in place. */
     struct FlowCell
     {
-        Row row;
         std::string label;
-        std::uint64_t localBytes = 0;
-        std::uint64_t remoteBytes = 0;
-        std::uint64_t crossings = 0;
-        std::uint64_t ddioHits = 0;
-        std::uint64_t ddioMisses = 0;
+        Counter n[kColumns];
     };
 
     using Sketch = SpaceSaving<FlowCell>;
 
-    /** Register one five-counter attribution row keyed {dev, <kind>}.
-     *  @p kind is the label key ("flow" or "tenant"). */
-    Row
-    makeRow(const char* kind, const std::string& value)
+    std::size_t rows() const override { return sketch_.size(); }
+
+    const std::string&
+    rowLabel(std::size_t row) const override
     {
-        const Labels l = {{"dev", dev_}, {kind, value}};
-        Row r;
-        r.local = &reg_->counter("flow_dma_local_bytes", l);
-        r.remote = &reg_->counter("flow_dma_remote_bytes", l);
-        r.crossings = &reg_->counter("flow_interconnect_crossings", l);
-        r.ddioHits = &reg_->counter("flow_ddio_hits", l);
-        r.ddioMisses = &reg_->counter("flow_ddio_misses", l);
-        return r;
+        return sketch_.entries()[row].payload.label;
     }
 
-    Row
-    makeTenantRow(const std::string& value)
+    const Counter&
+    cell(std::size_t row, std::size_t column) const override
     {
-        const Labels l = {{"dev", dev_}, {"tenant", value}};
-        Row r;
-        r.local = &reg_->counter("tenant_dma_local_bytes", l);
-        r.remote = &reg_->counter("tenant_dma_remote_bytes", l);
-        r.crossings =
-            &reg_->counter("tenant_interconnect_crossings", l);
-        r.ddioHits = &reg_->counter("tenant_ddio_hits", l);
-        r.ddioMisses = &reg_->counter("tenant_ddio_misses", l);
-        return r;
-    }
-
-    static void
-    applyRow(const Row& r, std::uint64_t bytes, bool local,
-             bool ddio_hit)
-    {
-        if (local) {
-            r.local->add(bytes);
-        } else {
-            r.remote->add(bytes);
-            r.crossings->add();
-        }
-        if (ddio_hit)
-            r.ddioHits->add();
-        else
-            r.ddioMisses->add();
-    }
-
-    void
-    apply(FlowCell& c, std::uint64_t bytes, bool local, bool ddio_hit)
-    {
-        applyRow(c.row, bytes, local, ddio_hit);
-        if (local) {
-            c.localBytes += bytes;
-        } else {
-            c.remoteBytes += bytes;
-            ++c.crossings;
-        }
-        if (ddio_hit)
-            ++c.ddioHits;
-        else
-            ++c.ddioMisses;
+        return sketch_.entries()[row].payload.n[column];
     }
 
     /**
      * Eviction: move the displaced flow's exact history into the
-     * conserved ~other row and drop its labeled registry rows. The
-     * byte totals summed over all flow rows are unchanged by
-     * construction — conservation survives arbitrary churn.
+     * conserved ~other row. The byte totals summed over all flow rows
+     * are unchanged by construction — conservation survives arbitrary
+     * churn.
      */
     void
     fold(const FlowCell& c)
     {
-        const Row& o = otherRow();
-        o.local->add(c.localBytes);
-        o.remote->add(c.remoteBytes);
-        o.crossings->add(c.crossings);
-        o.ddioHits->add(c.ddioHits);
-        o.ddioMisses->add(c.ddioMisses);
-        const Labels l = {{"dev", dev_}, {"flow", c.label}};
-        reg_->removeCounter("flow_dma_local_bytes", l);
-        reg_->removeCounter("flow_dma_remote_bytes", l);
-        reg_->removeCounter("flow_interconnect_crossings", l);
-        reg_->removeCounter("flow_ddio_hits", l);
-        reg_->removeCounter("flow_ddio_misses", l);
-    }
-
-    const Row&
-    otherRow()
-    {
-        if (other_.local == nullptr)
-            other_ = makeRow("flow", "~other");
-        return other_;
-    }
-
-    const Row&
-    tenantRow(int tenant)
-    {
-        auto it = tenants_.find(tenant);
-        if (it == tenants_.end()) {
-            it = tenants_
-                     .emplace(tenant,
-                              makeTenantRow(std::to_string(tenant)))
-                     .first;
+        if (other_[0] == nullptr) {
+            const Labels l = {{"dev", dev_}, {"flow", "~other"}};
+            for (int i = 0; i < kColumns; ++i)
+                other_[i] = &reg_->counter(kNames[i], l);
         }
-        return it->second;
+        for (int i = 0; i < kColumns; ++i)
+            other_[i]->add(c.n[i].value());
     }
 
     MetricRegistry* reg_;
     std::string dev_;
     Sketch sketch_;
-    Row other_;
-    std::unordered_map<int, Row> tenants_;
+    Sketch::Entry displaced_; ///< Eviction scratch: the displaced
+                              ///< entry moves here, so record()
+                              ///< constructs no Entry of its own.
+    Counter* other_[kColumns] = {};
     std::uint64_t records_ = 0;
 };
 

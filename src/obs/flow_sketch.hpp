@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace octo::obs {
@@ -87,9 +88,9 @@ class SpaceSaving
     /**
      * Count @p w occurrences of @p key. When the sketch is full and
      * @p key is absent, the minimum-weight entry is displaced:
-     * @p evicted receives its key and exact payload *before* the slot
-     * is recycled, and the recycled entry inherits the displaced
-     * weight as its error term.
+     * @p evicted receives its key and exact payload, moved out
+     * *before* the slot is recycled, and the recycled entry inherits
+     * the displaced weight as its error term.
      */
     Entry&
     update(std::uint64_t key, std::uint64_t w, Outcome& out,
@@ -108,15 +109,18 @@ class SpaceSaving
             out = Outcome::Admitted;
             return slots_.back();
         }
-        const std::size_t m = minSlot();
-        Entry& e = slots_[m];
-        evicted = e;
-        index_.erase(e.key);
-        index_.emplace(key, static_cast<std::uint32_t>(m));
+        Entry& e = slots_[minSlot()];
+        // Re-key the displaced key's index node in place: no
+        // allocation, and its slot number stays the same.
+        auto node = index_.extract(e.key);
+        node.key() = key;
+        index_.insert(std::move(node));
         ++evictions_;
-        e.error = e.weight;
-        e.weight += w;
+        const std::uint64_t weight = e.weight;
+        evicted = std::move(e);
         e.key = key;
+        e.weight = weight + w;
+        e.error = weight;
         e.payload = Payload{};
         out = Outcome::Replaced;
         return e;

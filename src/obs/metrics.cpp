@@ -105,7 +105,13 @@ MetricRegistry::Entry&
 MetricRegistry::entry(const std::string& name, Labels labels,
                       MetricKind kind)
 {
-    labels = stamped(std::move(labels));
+    return entryAt(name, stamped(std::move(labels)), kind);
+}
+
+MetricRegistry::Entry&
+MetricRegistry::entryAt(const std::string& name, Labels labels,
+                        MetricKind kind)
+{
     const std::string k = key(name, labels);
     auto it = entries_.find(k);
     if (it == entries_.end()) {
@@ -167,15 +173,68 @@ MetricRegistry::histogram(const std::string& name, Labels labels)
     return *entry(name, std::move(labels), MetricKind::Histogram).h;
 }
 
-bool
-MetricRegistry::removeCounter(const std::string& name, Labels labels)
+void
+MetricRegistry::addFamily(const CounterFamily& family,
+                          std::vector<std::string> names,
+                          std::string row_key, Labels labels)
 {
-    const std::string k = key(name, stamped(std::move(labels)));
-    auto it = entries_.find(k);
-    if (it == entries_.end() || it->second.kind != MetricKind::Counter)
-        return false;
-    entries_.erase(it);
-    return true;
+    families_.push_back(Family{&family, std::move(names),
+                               std::move(row_key),
+                               stamped(std::move(labels))});
+}
+
+void
+MetricRegistry::removeFamily(const CounterFamily& family)
+{
+    std::erase_if(families_, [&family](const Family& f) {
+        return f.rows == &family;
+    });
+}
+
+std::size_t
+MetricRegistry::size() const
+{
+    std::size_t n = entries_.size();
+    for (const Family& f : families_)
+        n += f.rows->rows() * f.names.size();
+    return n;
+}
+
+Labels
+MetricRegistry::rowLabels(const Family& family, std::size_t row)
+{
+    Labels l = family.labels;
+    l.emplace_back(family.rowKey, family.rows->rowLabel(row));
+    return canonical(std::move(l));
+}
+
+template <typename Fn>
+void
+MetricRegistry::familyCells(const std::string& name, const Labels& match,
+                            Fn&& fn) const
+{
+    for (const Family& f : families_) {
+        const auto col = std::find(f.names.begin(), f.names.end(), name);
+        if (col == f.names.end())
+            continue;
+        const std::string* row_label = nullptr;
+        bool ok = true;
+        for (const auto& m : match) {
+            if (m.first == f.rowKey)
+                row_label = &m.second;
+            else if (std::find(f.labels.begin(), f.labels.end(), m) ==
+                     f.labels.end())
+                ok = false;
+        }
+        if (!ok)
+            continue;
+        for (std::size_t i = 0; i < f.rows->rows(); ++i) {
+            if (row_label == nullptr || f.rows->rowLabel(i) == *row_label)
+                fn(f.rows->cell(i, static_cast<std::size_t>(
+                                       col - f.names.begin())),
+                   f.labels.size() + 1);
+        }
+    }
 }
 
 const MetricRegistry::Entry*
@@ -192,8 +251,17 @@ const Counter*
 MetricRegistry::findCounter(const std::string& name,
                             const Labels& labels) const
 {
-    const Entry* e = find(name, labels, MetricKind::Counter);
-    return e != nullptr ? e->c.get() : nullptr;
+    if (const Entry* e = find(name, labels, MetricKind::Counter))
+        return e->c.get();
+    // A cell matches exactly when it carries all of @p labels and no
+    // other label.
+    const Counter* found = nullptr;
+    familyCells(name, labels,
+                [&](const Counter& c, std::size_t label_count) {
+                    if (found == nullptr && label_count == labels.size())
+                        found = &c;
+                });
+    return found;
 }
 
 const Gauge*
@@ -259,13 +327,58 @@ kindName(MetricKind k)
 
 } // namespace
 
+template <typename Fn>
+void
+MetricRegistry::visit(Fn&& fn) const
+{
+    // Family cells get the key a stored counter with the same name and
+    // labels would have, so one merge of two sorted sequences yields
+    // the order a single std::map of everything would iterate in.
+    struct Cell
+    {
+        std::string key;
+        const Family* family;
+        std::size_t row;
+        std::size_t col;
+    };
+    std::vector<Cell> cells;
+    for (const Family& f : families_) {
+        for (std::size_t i = 0; i < f.rows->rows(); ++i) {
+            const Labels l = rowLabels(f, i);
+            for (std::size_t col = 0; col < f.names.size(); ++col)
+                cells.push_back(Cell{key(f.names[col], l), &f, i, col});
+        }
+    }
+    std::sort(cells.begin(), cells.end(),
+              [](const Cell& a, const Cell& b) { return a.key < b.key; });
+
+    auto it = entries_.begin();
+    auto cell = cells.begin();
+    while (it != entries_.end() || cell != cells.end()) {
+        if (cell == cells.end() ||
+            (it != entries_.end() && it->first < cell->key)) {
+            const Entry& e = it->second;
+            fn(Series{e.name, e.labels, e.kind, e.c.get(), e.g.get(),
+                      e.h.get()});
+            ++it;
+        } else {
+            const Family& f = *cell->family;
+            const Labels l = rowLabels(f, cell->row);
+            fn(Series{f.names[cell->col], l, MetricKind::Counter,
+                      &f.rows->cell(cell->row, cell->col), nullptr,
+                      nullptr});
+            ++cell;
+        }
+    }
+}
+
 void
 MetricRegistry::writePrometheus(std::FILE* out) const
 {
-    // std::map iteration is sorted by full key, so all series of one
-    // metric name are contiguous: one # TYPE line per name.
+    // Series arrive sorted by full key, so all series of one metric
+    // name are contiguous: one # TYPE line per name.
     std::string last_name;
-    for (const auto& [k, e] : entries_) {
+    visit([&](const Series& e) {
         if (e.name != last_name) {
             std::fprintf(out, "# TYPE %s %s\n", e.name.c_str(),
                          kindName(e.kind));
@@ -310,7 +423,7 @@ MetricRegistry::writePrometheus(std::FILE* out) const
             break;
           }
         }
-    }
+    });
 }
 
 std::string
@@ -340,13 +453,23 @@ MetricRegistry::freeze()
             e.g->fn_ = nullptr;
         }
     }
+    for (const Family& f : families_) {
+        for (std::size_t i = 0; i < f.rows->rows(); ++i) {
+            const Labels l = rowLabels(f, i);
+            for (std::size_t col = 0; col < f.names.size(); ++col) {
+                entryAt(f.names[col], l, MetricKind::Counter)
+                    .c->add(f.rows->cell(i, col).value());
+            }
+        }
+    }
+    families_.clear();
 }
 
 void
 MetricRegistry::writeCsv(std::FILE* out) const
 {
     std::fprintf(out, "metric,labels,kind,value\n");
-    for (const auto& [k, e] : entries_) {
+    visit([&](const Series& e) {
         std::string ls;
         for (const auto& [lk, lv] : e.labels) {
             if (!ls.empty())
@@ -379,7 +502,7 @@ MetricRegistry::writeCsv(std::FILE* out) const
                          e.name.c_str(), ls.c_str(), e.h->p99());
             break;
         }
-    }
+    });
 }
 
 void
@@ -387,8 +510,7 @@ MetricRegistry::forEach(
     const std::function<void(const std::string&, const Labels&,
                              MetricKind)>& fn) const
 {
-    for (const auto& [k, e] : entries_)
-        fn(e.name, e.labels, e.kind);
+    visit([&fn](const Series& e) { fn(e.name, e.labels, e.kind); });
 }
 
 std::uint64_t
@@ -412,6 +534,9 @@ MetricRegistry::sumCounters(const std::string& name,
         if (ok)
             total += e.c->value();
     }
+    familyCells(name, match, [&total](const Counter& c, std::size_t) {
+        total += c.value();
+    });
     return total;
 }
 

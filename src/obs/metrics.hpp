@@ -17,9 +17,11 @@
  *
  * Instruments are identified by (name, labels); re-registering the same
  * identity returns the existing instrument, so call sites can register
- * eagerly at construction. The registry owns all instruments; pointers
- * stay valid for its lifetime (call sites cache them — the
- * zero-overhead-when-off discipline is a null check, not a map lookup).
+ * eagerly at construction. The registry owns the instruments it
+ * creates; pointers stay valid for its lifetime (call sites cache them —
+ * the zero-overhead-when-off discipline is a null check, not a map
+ * lookup). A CounterFamily's rows are the exception: their owner keeps
+ * them, and the registry reads them on demand.
  *
  * Snapshots export as Prometheus text (deterministic ordering) or CSV.
  */
@@ -123,6 +125,25 @@ enum class MetricKind
 };
 
 /**
+ * Counter rows kept by their owner instead of the registry: row i is
+ * the label value rowLabel(i) of one row key, and holds one Counter
+ * per column name given at MetricRegistry::addFamily. DmaAccountant's
+ * sketch cells are one, so admitting or evicting a flow touches no
+ * registry state; the registry reads the rows when it is queried.
+ */
+class CounterFamily
+{
+  public:
+    virtual std::size_t rows() const = 0;
+    virtual const std::string& rowLabel(std::size_t row) const = 0;
+    virtual const Counter& cell(std::size_t row,
+                                std::size_t column) const = 0;
+
+  protected:
+    ~CounterFamily() = default;
+};
+
+/**
  * The registry. One per obs::Hub; every layer registers into it.
  *
  * Base labels (setBaseLabels) are stamped onto instruments created
@@ -145,16 +166,19 @@ class MetricRegistry
     Histogram& histogram(const std::string& name, Labels labels = {});
 
     /**
-     * Remove the counter (name, labels) from the registry. Base labels
-     * are stamped exactly as at registration, so a call site that
-     * created a row under the current run label can drop it the same
-     * way. Pointers to the removed instrument are invalidated — only
-     * owners that manage the full row lifecycle (DmaAccountant's
-     * bounded attribution rows) may use this; shared instruments are
-     * registered once and never removed.
-     * @return true when a counter row was removed.
+     * Attach @p family: counter series (name, labels + {row_key, row
+     * label}) for every column name in @p names and every row the
+     * family holds at the time of a read. Base labels are stamped onto
+     * @p labels now. Every read below sees the rows exactly as it sees
+     * stored counters, in the same sorted order, and findCounter
+     * returns the family's own Counter, valid until the owner next
+     * changes its rows. The owner calls removeFamily before it dies;
+     * freeze() first turns the rows into stored counters.
      */
-    bool removeCounter(const std::string& name, Labels labels);
+    void addFamily(const CounterFamily& family,
+                   std::vector<std::string> names, std::string row_key,
+                   Labels labels);
+    void removeFamily(const CounterFamily& family);
 
     /** Lookup without creating; null when absent or kind-mismatched.
      *  Matches against the full label set including any base labels
@@ -166,19 +190,20 @@ class MetricRegistry
     const Histogram* findHistogram(const std::string& name,
                                    const Labels& labels = {}) const;
 
-    std::size_t size() const { return entries_.size(); }
+    /** Series count: stored instruments plus every family cell. */
+    std::size_t size() const;
 
     /**
      * Snapshot every callback-backed counter/gauge into a plain stored
-     * value and drop the callback. Call before destroying the model the
-     * callbacks read from (benches: end of each testbed run) so a later
-     * export never chases dangling pointers.
+     * value and drop the callback, and every family row into stored
+     * counters, detaching the family. Call before destroying the model
+     * the callbacks read from (benches: end of each testbed run) so a
+     * later export never chases dangling pointers.
      */
     void freeze();
 
     /** Labels stamped onto subsequently registered instruments. */
     void setBaseLabels(Labels base) { base_ = std::move(base); }
-    const Labels& baseLabels() const { return base_; }
 
     /** Prometheus text exposition (sorted, deterministic). */
     void writePrometheus(std::FILE* out) const;
@@ -209,9 +234,45 @@ class MetricRegistry
         std::unique_ptr<Histogram> h;
     };
 
+    struct Family
+    {
+        const CounterFamily* rows;
+        std::vector<std::string> names;
+        std::string rowKey;
+        Labels labels; ///< Canonical, without the row key.
+    };
+
+    /** One series as the exporters see it: a stored entry or a family
+     *  cell (c set, g and h null). */
+    struct Series
+    {
+        const std::string& name;
+        const Labels& labels;
+        MetricKind kind;
+        const Counter* c;
+        const Gauge* g;
+        const Histogram* h;
+    };
+
     Entry& entry(const std::string& name, Labels labels, MetricKind kind);
+    /** entry() for labels already stamped and canonical. */
+    Entry& entryAt(const std::string& name, Labels labels,
+                   MetricKind kind);
     const Entry* find(const std::string& name, const Labels& labels,
                       MetricKind kind) const;
+
+    /** Visit stored entries and family cells merged in key order. */
+    template <typename Fn> void visit(Fn&& fn) const;
+
+    /** Full canonical label set of @p family's row @p row. */
+    static Labels rowLabels(const Family& family, std::size_t row);
+
+    /** Call @p fn(cell, label count) for every family cell of counter
+     *  @p name whose labels include all of @p match, reading no other
+     *  family's rows and formatting no key. */
+    template <typename Fn>
+    void familyCells(const std::string& name, const Labels& match,
+                     Fn&& fn) const;
 
     /** Stamp base labels (keys not already present) and canonicalize —
      *  the identity transformation entry() applies at registration. */
@@ -221,6 +282,7 @@ class MetricRegistry
     static std::string key(const std::string& name, const Labels& l);
 
     std::map<std::string, Entry> entries_;
+    std::vector<Family> families_;
     Labels base_;
 };
 

@@ -1,11 +1,16 @@
 /**
  * @file
  * Tests for DMA-locality accounting: the DmaAccountant row mechanics,
- * the per-preset locality split of a real testbed run, and the
- * zero-overhead-when-off guarantee (observability must not change the
- * simulation's results).
+ * the exported bytes of a churning sketch, the per-preset locality
+ * split of a real testbed run, and the zero-overhead-when-off
+ * guarantee (observability must not change the simulation's results).
  */
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -13,6 +18,7 @@
 #include "core/testbed.hpp"
 #include "obs/dma.hpp"
 #include "obs/hub.hpp"
+#include "sim/rng.hpp"
 #include "workloads/netperf.hpp"
 
 namespace octo::obs {
@@ -54,6 +60,96 @@ TEST(DmaAccountant, RowsSplitLocalityPerFlow)
     EXPECT_EQ(reg.sumCounters("flow_dma_remote_bytes",
                               {{"dev", "nic0"}}),
               564u);
+}
+
+std::string
+csvText(const MetricRegistry& reg)
+{
+    char* buf = nullptr;
+    std::size_t len = 0;
+    std::FILE* mem = open_memstream(&buf, &len);
+    if (mem == nullptr)
+        return {};
+    reg.writeCsv(mem);
+    std::fclose(mem);
+    std::string s(buf, len);
+    std::free(buf);
+    return s;
+}
+
+std::string
+goldenText(const std::string& name)
+{
+    std::ifstream in(std::string(OCTO_GOLDEN_DIR) + "/" + name,
+                     std::ios::binary);
+    std::ostringstream s;
+    s << in.rdbuf();
+    return s.str();
+}
+
+TEST(DmaAccountant, ExportMatchesParent)
+{
+    // A churning K=4 sketch and an eviction-free K=8 one, exported
+    // with stored instruments whose names, kinds and labels sort
+    // between the flow_* rows. The golden files were written by the
+    // registry-row accountant this design replaced; the export must
+    // not move by a byte.
+    Hub hub;
+    hub.setRun("churn");
+    MetricRegistry& reg = hub.metrics();
+    reg.gauge("flow_dma_queue_depth", {{"dev", "nic0"}}).set(3.5);
+    Histogram& lat =
+        reg.histogram("flow_ddio_latency_ns", {{"dev", "nic0"}});
+    for (double v : {0.0, 40.0, 90.0, 300.0, 1200.0})
+        lat.record(v);
+    reg.counter("flow_dma_local_bytes", {{"dev", "nic00"}}).add(7);
+
+    auto churn = std::make_unique<DmaAccountant>(&hub, "nic0", 4);
+    auto quiet = std::make_unique<DmaAccountant>(&hub, "nic1", 8);
+    sim::Rng rng(11);
+    std::uint64_t hot_local = 0;
+    for (int i = 0; i < 3000; ++i) {
+        // Key 0 carries every other record at 64 KiB, so it stays
+        // resident; the rest churn through the three other slots.
+        const std::uint64_t key = i % 2 == 0 ? 0 : 1 + rng.below(39);
+        const std::uint64_t bytes =
+            key == 0 ? 65536 : 64 + rng.below(1400);
+        const bool local = rng.chance(0.6);
+        churn->record(key, [key] { return "f" + std::to_string(key); },
+                      bytes, local, rng.chance(0.5));
+        if (key == 0 && local)
+            hot_local += bytes;
+        if (i % 50 == 0) {
+            const std::uint64_t q = (i / 50) % 5;
+            quiet->record(q, [q] { return "q" + std::to_string(q); },
+                          bytes, !local, true);
+        }
+    }
+    ASSERT_GT(churn->evictions(), 0u) << "test must exercise churn";
+    ASSERT_EQ(quiet->evictions(), 0u);
+
+    const std::string prom = reg.prometheusText();
+    const std::string csv = csvText(reg);
+    EXPECT_EQ(prom, goldenText("dma_accountant.prom"));
+    EXPECT_EQ(csv, goldenText("dma_accountant.csv"));
+
+    // Three stored instruments, four meta instruments per accountant,
+    // five counters per resident flow and per ~other row.
+    EXPECT_EQ(reg.size(),
+              3 + 2 * 4 +
+                  5 * (churn->flowCount() + 1 + quiet->flowCount()));
+    const Counter* hot = reg.findCounter(
+        "flow_dma_local_bytes",
+        {{"run", "churn"}, {"flow", "f0"}, {"dev", "nic0"}});
+    ASSERT_NE(hot, nullptr);
+    EXPECT_EQ(hot->value(), hot_local);
+
+    // Frozen, the rows outlive their accountants unchanged.
+    reg.freeze();
+    churn.reset();
+    quiet.reset();
+    EXPECT_EQ(reg.prometheusText(), prom);
+    EXPECT_EQ(csvText(reg), csv);
 }
 
 struct LocalitySplit

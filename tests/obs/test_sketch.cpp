@@ -159,34 +159,6 @@ TEST(DmaAccountant, OtherRowConservesBytesUnderChurn)
         << "churn must have folded bytes into ~other";
 }
 
-TEST(DmaAccountant, TenantRollupRowsAreExact)
-{
-    Hub hub;
-    DmaAccountant acc(&hub, "nic0", 2);
-    // Two tenants, many flows — tenant rows never churn.
-    std::uint64_t t0 = 0, t1 = 0;
-    for (int i = 0; i < 100; ++i) {
-        const int tenant = i % 2;
-        const std::uint64_t bytes = 100 + i;
-        acc.record(static_cast<std::uint64_t>(i),
-                   [i] { return "f" + std::to_string(i); }, bytes,
-                   true, true, tenant);
-        (tenant == 0 ? t0 : t1) += bytes;
-    }
-    MetricRegistry& reg = hub.metrics();
-    EXPECT_EQ(reg.sumCounters("tenant_dma_local_bytes",
-                              {{"dev", "nic0"}, {"tenant", "0"}}),
-              t0);
-    EXPECT_EQ(reg.sumCounters("tenant_dma_local_bytes",
-                              {{"dev", "nic0"}, {"tenant", "1"}}),
-              t1);
-    // And tenant totals equal flow totals (both saw every byte).
-    EXPECT_EQ(reg.sumCounters("tenant_dma_local_bytes",
-                              {{"dev", "nic0"}}),
-              reg.sumCounters("flow_dma_local_bytes",
-                              {{"dev", "nic0"}}));
-}
-
 TEST(DmaAccountant, MetaInstrumentsTrackSketchState)
 {
     Hub hub;
