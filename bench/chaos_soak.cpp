@@ -1,12 +1,13 @@
 /**
  * @file
- * Chaos soak: fault-storm campaigns (Poisson arrivals over PF kills,
- * retrains, queue stalls, QPI degradation, and gray delay/drop
- * episodes) swept over intensity x preset (interrupt kernel stack and
- * `-poll` bypass), monitored vs unmonitored, with the chaos::Oracle
- * re-checking conservation invariants every 500 us *during* the
- * faults. Each run reports goodput retention against a fault-free
- * baseline of the same preset plus the oracle verdict.
+ * Chaos soak: fault-storm campaigns (chaos::storm's Poisson arrivals
+ * over PF kills, width/gen retrains, silent link flaps, gray
+ * delay/drop, queue stalls, QPI degradation and interrupt drop/delay)
+ * swept over intensity x preset (interrupt kernel stack and `-poll`
+ * bypass), monitored vs unmonitored, with the chaos::Oracle re-checking
+ * conservation invariants every 500 us *during* the faults. Each run
+ * reports goodput retention against a fault-free baseline of the same
+ * preset plus the oracle verdict.
  *
  * Two deterministic scenarios pin the PR's acceptance on top of the
  * sweep:
@@ -95,15 +96,6 @@ armCommonWatches(chaos::Oracle& oracle, Testbed& tb,
                          sim::fromMs(10), sickPathExemption(tb));
 }
 
-chaos::OracleConfig
-soakOracleCfg()
-{
-    chaos::OracleConfig cfg;
-    cfg.period = sim::fromUs(500);
-    cfg.abortOnViolation = false; // verdicts go to the report
-    return cfg;
-}
-
 /** Kernel-preset soak: @p kStreams TCP Rx streams on node 0 (all
  *  served by PF0 under the Ioctopus preset) under @p plan. */
 SoakRun
@@ -119,15 +111,13 @@ runKernelSoak(const fault::FaultPlan& plan, bool monitored,
     // explicit setting must win over obsBegin's convenience default.
     cfg.healthMonitor = monitored;
     cfg.diffProber = monitored;
-    cfg.prober.period = sim::fromMs(1);
-    cfg.prober.probesPerRound = 2;
     Testbed tb(cfg);
 
     const NodeZeroStreams streams(tb, kStreams,
                                   workloads::StreamDir::ServerRx);
     auto delivered = [&streams] { return streams.delivered(); };
 
-    chaos::Oracle oracle(tb.sim(), soakOracleCfg());
+    chaos::Oracle oracle(tb.sim());
     armCommonWatches(oracle, tb, delivered, [&tb] {
         return tb.serverStack().resteersPerformed();
     });
@@ -169,8 +159,6 @@ runPollSoak(const fault::FaultPlan& plan, bool monitored,
         obsBegin(obs, cfg, label);
     cfg.healthMonitor = monitored;
     cfg.diffProber = monitored;
-    cfg.prober.period = sim::fromMs(1);
-    cfg.prober.probesPerRound = 2;
     Testbed tb(cfg);
 
     bypass::PollPort& tx =
@@ -183,7 +171,7 @@ runPollSoak(const fault::FaultPlan& plan, bool monitored,
         burstProducer(tx, pktgenFlow(), kFrame, kBurst, inflight);
     sim::Task<> sinkT = burstSink(sink, kBurst);
 
-    chaos::Oracle oracle(tb.sim(), soakOracleCfg());
+    chaos::Oracle oracle(tb.sim());
     oracle.watchMempool("server", tb.serverPoll()->mempool(),
                         cfg.cal.nodes);
     oracle.watchMempool("client", tb.clientPoll()->mempool(),
@@ -232,7 +220,6 @@ stormPlan(double intensity, std::uint64_t seed, int queues)
     spec.horizon = kHorizon;
     spec.intensity = intensity;
     spec.targets = {2, queues, 0};
-    spec.gray = true;
     return chaos::storm(spec);
 }
 
@@ -305,14 +292,12 @@ runLastResort()
     cfg.faults = plan;
     cfg.healthMonitor = true;
     cfg.diffProber = true;
-    cfg.prober.period = sim::fromMs(1);
-    cfg.prober.probesPerRound = 2;
     Testbed tb(cfg);
     const NodeZeroStreams streams(tb, kStreams,
                                   workloads::StreamDir::ServerRx);
     auto delivered = [&streams] { return streams.delivered(); };
 
-    chaos::Oracle oracle(tb.sim(), soakOracleCfg());
+    chaos::Oracle oracle(tb.sim());
     armCommonWatches(oracle, tb, delivered, [&tb] {
         return tb.serverStack().resteersPerformed();
     });

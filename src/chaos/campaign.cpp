@@ -61,17 +61,19 @@ realBetween(sim::Rng& rng, double lo, double hi)
     return lo + (hi - lo) * rng.uniform();
 }
 
-/** The storm's fault families. Weights are relative draw odds. */
+/** The storm's fault families, drawn with equal odds. */
 enum class Family
 {
     PfKill,
     PfDegrade,
+    LinkFlap,
+    GrayDelay,
+    GrayDrop,
     QueueStall,
     NvmeDoorbell,
     NvmeCq,
     Qpi,
-    GrayDelay,
-    GrayDrop,
+    Irq,
 };
 
 } // namespace
@@ -90,10 +92,9 @@ storm(const StormSpec& spec)
     if (pfs > 0) {
         fams.push_back(Family::PfKill);
         fams.push_back(Family::PfDegrade);
-        if (spec.gray) {
-            fams.push_back(Family::GrayDelay);
-            fams.push_back(Family::GrayDrop);
-        }
+        fams.push_back(Family::LinkFlap);
+        fams.push_back(Family::GrayDelay);
+        fams.push_back(Family::GrayDrop);
     }
     if (queues > 0)
         fams.push_back(Family::QueueStall);
@@ -102,14 +103,17 @@ storm(const StormSpec& spec)
         fams.push_back(Family::NvmeCq);
     }
     fams.push_back(Family::Qpi);
+    fams.push_back(Family::Irq);
 
-    // Per-resource serialization: a PF (or the QPI) with an open
-    // episode is skipped until it heals, which is what keeps the
-    // schedule free of duplicate kills and dangling recovers. Stalls
-    // are one-shot events and need no such bookkeeping.
+    // Per-resource serialization: a PF (or the QPI, or interrupt
+    // delivery) with an open episode is skipped until it heals, which
+    // is what keeps the schedule free of duplicate kills and dangling
+    // recovers. Kills, retrains and link flaps share one PF window.
+    // Stalls are one-shot events and need no such bookkeeping.
     std::vector<Tick> pfBusyUntil(pfs > 0 ? pfs : 0, 0);
     std::vector<Tick> grayBusyUntil(pfs > 0 ? pfs : 0, 0);
     Tick qpiBusyUntil = 0;
+    Tick irqBusyUntil = 0;
 
     // Poisson arrivals: exponential inter-arrival gaps around a mean
     // that yields ~10 x intensity arrivals over the horizon. The last
@@ -143,8 +147,20 @@ storm(const StormSpec& spec)
                 rng.below(static_cast<std::uint64_t>(pfs)));
             if (pfBusyUntil[pf] <= t) {
                 const int lanes = 1 + static_cast<int>(rng.below(4));
-                plan.pcieWidthDegrade(t, pf, lanes)
+                const double gen = rng.chance(0.5) ? 0.5 : 1.0;
+                plan.pcieWidthDegrade(t, pf, lanes, gen)
                     .pcieRestore(t + len, pf);
+                pfBusyUntil[pf] = t + len;
+            }
+            break;
+          }
+          case Family::LinkFlap: {
+            // Silent: no hotplug event reaches the driver; only health
+            // sampling or frame loss can notice it.
+            const int pf = static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(pfs)));
+            if (pfBusyUntil[pf] <= t) {
+                plan.pcieLinkDown(t, pf).pcieLinkUp(t + len, pf);
                 pfBusyUntil[pf] = t + len;
             }
             break;
@@ -173,6 +189,17 @@ storm(const StormSpec& spec)
                 plan.qpiDegrade(t, realBetween(rng, 0.2, 0.7))
                     .qpiRestore(t + len);
                 qpiBusyUntil = t + len;
+            }
+            break;
+          case Family::Irq:
+            if (irqBusyUntil <= t) {
+                if (rng.chance(0.5))
+                    plan.irqDrop(t, static_cast<int>(rng.between(2, 5)));
+                else
+                    plan.irqDelay(t, rng.between(sim::fromUs(20),
+                                                 sim::fromUs(200)));
+                plan.irqRestore(t + len);
+                irqBusyUntil = t + len;
             }
             break;
           case Family::GrayDelay: {

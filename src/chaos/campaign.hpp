@@ -16,10 +16,12 @@
  *  - **Correlated dual-PF**: both PFs of one octoNIC die with
  *    overlapping dead windows — the staggered double failure that
  *    exercises last-resort steering (nowhere local to go).
- *  - **Storm**: Poisson fault arrivals over a target set spanning NIC
- *    PFs and queues, NVMe SQs, the interconnect, and (optionally) gray
- *    faults, with per-resource serialization so the schedule stays
- *    contradiction-free. Intensity scales the arrival rate.
+ *  - **Storm**: the one seeded fault generator. Poisson arrivals over
+ *    PF kills, width/gen retrains, silent link flaps, gray delay and
+ *    drop, NIC queue stalls, NVMe doorbell and CQ stalls, QPI
+ *    degradation and interrupt drop/delay, with per-resource
+ *    serialization so the schedule stays contradiction-free.
+ *    Intensity scales the arrival rate.
  *  - **Gray siblings**: sub-threshold latency/loss on chosen PFs that
  *    stock telemetry cannot see — the differential prober's prey.
  */
@@ -60,8 +62,6 @@ struct StormSpec
      *  validate()'s "-1 = unknown", the storm needs real counts to
      *  draw targets from, so pfCount and queueCount must be > 0. */
     fault::TargetSpec targets{2, 8, 0};
-    /** Mix gray delay/drop faults into the storm. */
-    bool gray = true;
 };
 
 /**
@@ -80,8 +80,20 @@ fault::FaultPlan correlatedDualPf(const DualPfSpec& spec = {});
 
 /**
  * Seed-derived Poisson fault storm over the declared target set. Same
- * seed, same spec => identical plan. The generated schedule always
- * validates against `spec.targets`.
+ * seed, same spec => identical plan. Every episode it opens heals
+ * before the horizon, and the schedule always validates against
+ * `spec.targets`.
+ *
+ * Families, drawn with equal odds among those the targets support:
+ *
+ *  - PF (pfCount > 0), serialized on one busy window per PF: surprise
+ *    kill; retrain to 1-4 lanes, at half gen rate with p = 0.5; silent
+ *    link flap. Gray delay and gray drop share a second per-PF window.
+ *  - Queue stall (queueCount > 0); NVMe doorbell and CQ stalls
+ *    (nvmeSqCount > 0). One-shot, not serialized.
+ *  - QPI degradation to 20-70% of nominal, and interrupt faults (drop
+ *    every 2-5th, or delay 20-200 us, healed by irqRestore): each
+ *    serialized on its own busy window.
  */
 fault::FaultPlan storm(const StormSpec& spec);
 

@@ -2,7 +2,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "bypass/mempool.hpp"
@@ -14,6 +13,9 @@
 namespace octo::chaos {
 
 namespace {
+
+/** Gap between invariant sweeps. */
+constexpr sim::Tick kPeriod = sim::fromUs(500);
 
 /** Snapshot formatter: small, bounded, and allocation-friendly. */
 std::string
@@ -29,8 +31,7 @@ fmt(const char* f, ...)
 
 } // namespace
 
-Oracle::Oracle(sim::Simulator& sim, OracleConfig cfg)
-    : sim_(sim), cfg_(cfg)
+Oracle::Oracle(sim::Simulator& sim) : sim_(sim)
 {
     if (obs::Hub* h = obs::hub(sim_)) {
         obs::MetricRegistry& reg = h->metrics();
@@ -207,8 +208,7 @@ Oracle::start()
     if (started_)
         return;
     started_ = true;
-    tick_ = sim_.schedulePeriodic(cfg_.period, cfg_.period,
-                                  [this] { sweep(); });
+    tick_ = sim_.schedulePeriodic(kPeriod, kPeriod, [this] { sweep(); });
 }
 
 Oracle::~Oracle() { sim_.release(tick_); }
@@ -238,13 +238,6 @@ Oracle::report(const Entry& e, const std::string& snapshot)
                     sim_.now(),
                     {{"invariant", e.name}, {"snapshot", snapshot}});
     }
-    if (!cfg_.abortOnViolation)
-        return;
-    std::fprintf(stderr,
-                 "chaos: invariant '%s' violated at t=%.3f ms: %s\n",
-                 e.name.c_str(), sim::toMs(sim_.now()),
-                 snapshot.c_str());
-    std::abort();
 }
 
 } // namespace octo::chaos

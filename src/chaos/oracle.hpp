@@ -19,11 +19,11 @@
  *    bound unless its exemption — e.g. "every path is faulted" —
  *    currently holds).
  *
- * A violation is recorded with a snapshot of the offending accounting
- * and, by default, aborts the process — a chaos run that limps past a
- * broken invariant produces numbers that mean nothing. Tests that
- * deliberately provoke violations set `abortOnViolation = false` and
- * read the log instead.
+ * The sweep runs every 500 us. A violation is recorded, with a
+ * snapshot of the offending accounting, in log() and as a trace
+ * instant; the run goes on. Callers own the verdict: the soak tests
+ * fail on a non-empty log, and bench_chaos_soak prints it and writes
+ * the count to its report.
  *
  * Checks are read-only and never await model work, so results are
  * bit-identical with the oracle on or off. The Oracle is per-run and
@@ -58,17 +58,6 @@ class NvmeDriver;
 
 namespace octo::chaos {
 
-struct OracleConfig
-{
-    /** Gap between invariant sweeps. */
-    sim::Tick period = sim::fromMs(1);
-
-    /** Abort the process on the first violation (with the snapshot on
-     *  stderr). Off: record and keep checking — for tests that provoke
-     *  violations on purpose. */
-    bool abortOnViolation = true;
-};
-
 /** One recorded invariant violation. */
 struct Violation
 {
@@ -84,7 +73,7 @@ class Oracle
      *  violation snapshot. Must be read-only and non-blocking. */
     using Check = std::function<std::string()>;
 
-    explicit Oracle(sim::Simulator& sim, OracleConfig cfg = {});
+    explicit Oracle(sim::Simulator& sim);
     ~Oracle();
 
     /** Register invariant @p name. Checks run in registration order. */
@@ -143,7 +132,6 @@ class Oracle
     void report(const Entry& e, const std::string& snapshot);
 
     sim::Simulator& sim_;
-    OracleConfig cfg_;
     std::vector<Entry> entries_;
     std::vector<Violation> log_;
     sim::EventRef tick_; ///< Periodic sweep cadence (one slot).

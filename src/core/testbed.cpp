@@ -104,8 +104,8 @@ Testbed::Testbed(const TestbedConfig& cfg) : cfg_(cfg)
                                                            cfg_.health);
         monitor_->start();
         if (cfg_.diffProber) {
-            prober_ = std::make_unique<health::DifferentialProber>(
-                *monitor_, cfg_.prober);
+            prober_ =
+                std::make_unique<health::DifferentialProber>(*monitor_);
             prober_->start();
         }
     }

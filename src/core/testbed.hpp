@@ -102,16 +102,13 @@ struct TestbedConfig
      *  driver's alive-or-dead failover. */
     bool healthMonitor = false;
 
-    /** Monitor tunables (thresholds, hysteresis, probation backoff). */
+    /** Monitor settings (probe-gated probation exit). */
     health::HealthConfig health;
 
     /** Attach a DifferentialProber next to the monitor (requires
      *  healthMonitor): gray-failure detection by sibling-RTT
      *  comparison, feeding external demotions into the monitor. */
     bool diffProber = false;
-
-    /** Prober tunables (cadence, outlier ratio, streak length). */
-    health::ProberConfig prober;
 
     /** Kernel-bypass presets (`local-poll` / `remote-poll` /
      *  `ioctopus-poll`): replace the NetStack on *both* hosts with a

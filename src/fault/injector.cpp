@@ -167,123 +167,6 @@ FaultPlan::validate(const TargetSpec& spec) const
     return errors;
 }
 
-FaultPlan
-FaultPlan::randomized(std::uint64_t seed, sim::Tick horizon,
-                      int pf_count, int queue_count, int episodes)
-{
-    FaultPlan plan;
-    sim::Rng rng(seed);
-    if (horizon <= 0 || episodes <= 0)
-        return plan;
-    // Each episode is a fault/recovery pair inside its own slice of the
-    // horizon, so outages never overlap across episodes and every fault
-    // is healed before the horizon ends.
-    const sim::Tick slice = horizon / episodes;
-    for (int e = 0; e < episodes; ++e) {
-        const sim::Tick base = slice * e;
-        const auto at =
-            base + static_cast<sim::Tick>(rng.below(
-                       static_cast<std::uint64_t>(slice / 2)));
-        const auto heal =
-            at + slice / 4 +
-            static_cast<sim::Tick>(
-                rng.below(static_cast<std::uint64_t>(slice / 8)));
-        switch (rng.below(4)) {
-        case 0: {
-            const int pf = static_cast<int>(
-                rng.below(static_cast<std::uint64_t>(
-                    pf_count > 0 ? pf_count : 1)));
-            plan.pfKill(at, pf).pfRecover(heal, pf);
-            break;
-        }
-        case 1: {
-            const int pf = static_cast<int>(
-                rng.below(static_cast<std::uint64_t>(
-                    pf_count > 0 ? pf_count : 1)));
-            const int lanes = 1 << rng.below(3); // x1 / x2 / x4
-            plan.pcieWidthDegrade(at, pf, lanes).pcieRestore(heal, pf);
-            break;
-        }
-        case 2: {
-            const int qid = static_cast<int>(
-                rng.below(static_cast<std::uint64_t>(
-                    queue_count > 0 ? queue_count : 1)));
-            plan.queueStall(at, qid, heal - at);
-            break;
-        }
-        default: {
-            const double scale =
-                0.1 + 0.4 * rng.uniform(); // 10–50% of nominal
-            plan.qpiDegrade(at, scale).qpiRestore(heal);
-            break;
-        }
-        }
-    }
-    return plan;
-}
-
-FaultPlan
-FaultPlan::randomStress(std::uint64_t seed, sim::Tick horizon,
-                        int pf_count, int queue_count, int episodes)
-{
-    FaultPlan plan;
-    sim::Rng rng(seed);
-    if (horizon <= 0 || episodes <= 0)
-        return plan;
-    const sim::Tick slice = horizon / episodes;
-    for (int e = 0; e < episodes; ++e) {
-        const sim::Tick base = slice * e;
-        const auto at =
-            base + static_cast<sim::Tick>(rng.below(
-                       static_cast<std::uint64_t>(slice / 2)));
-        const auto heal =
-            at + slice / 4 +
-            static_cast<sim::Tick>(
-                rng.below(static_cast<std::uint64_t>(slice / 8)));
-        const int pf = static_cast<int>(rng.below(
-            static_cast<std::uint64_t>(pf_count > 0 ? pf_count : 1)));
-        switch (rng.below(6)) {
-        case 0:
-            plan.pfKill(at, pf).pfRecover(heal, pf);
-            break;
-        case 1: {
-            // Width *and* gen downshift in one retrain.
-            const int lanes = 1 << rng.below(3); // x1 / x2 / x4
-            const double gen = rng.chance(0.5) ? 0.5 : 1.0;
-            plan.pcieWidthDegrade(at, pf, lanes, gen)
-                .pcieRestore(heal, pf);
-            break;
-        }
-        case 2:
-            // Silent flap: no hotplug event reaches the driver; only
-            // health sampling or frame loss can notice it.
-            plan.pcieLinkDown(at, pf).pcieLinkUp(heal, pf);
-            break;
-        case 3: {
-            const int qid = static_cast<int>(
-                rng.below(static_cast<std::uint64_t>(
-                    queue_count > 0 ? queue_count : 1)));
-            plan.queueStall(at, qid, heal - at);
-            break;
-        }
-        case 4: {
-            const double scale = 0.1 + 0.4 * rng.uniform();
-            plan.qpiDegrade(at, scale).qpiRestore(heal);
-            break;
-        }
-        default:
-            if (rng.chance(0.5))
-                plan.irqDrop(at, static_cast<int>(rng.between(2, 5)));
-            else
-                plan.irqDelay(at, sim::fromUs(static_cast<sim::Tick>(
-                                      rng.between(20, 200))));
-            plan.irqRestore(heal);
-            break;
-        }
-    }
-    return plan;
-}
-
 Injector::Injector(sim::Simulator& sim, Targets targets, FaultPlan plan)
     : sim_(sim), targets_(targets), plan_(std::move(plan))
 {

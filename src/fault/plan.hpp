@@ -8,17 +8,16 @@
  * Injector replays against the model at exact simulated times. Plans
  * are plain data: copyable, comparable, and fully deterministic, so the
  * same plan over the same testbed seed reproduces bit-identical event
- * counts. `randomized()` derives a schedule from a seed for stress
- * runs; the seed is the only source of variation.
+ * counts. Seeded schedules come from one generator, chaos::storm()
+ * (chaos/campaign.hpp); this header holds only the events, their
+ * builders and the validator.
  */
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace octo::fault {
@@ -244,33 +243,6 @@ class FaultPlan
     {
         return add({at, FaultKind::PfGrayRestore, pf, 0, 1.0, 0});
     }
-
-    /**
-     * Seed-derived stress schedule: paired fault/recovery events spread
-     * over [0, horizon). Every choice comes from the SplitMix64 stream,
-     * so two plans from the same seed are identical element-for-element.
-     *
-     * @param pf_count    PFs eligible for kill/degrade faults.
-     * @param queue_count Queues eligible for stall faults.
-     * @param episodes    Fault/recovery pairs to schedule.
-     */
-    static FaultPlan randomized(std::uint64_t seed, sim::Tick horizon,
-                                int pf_count, int queue_count,
-                                int episodes = 8);
-
-    /**
-     * Wider-spectrum soak schedule for invariant testing: like
-     * randomized() but drawing from six fault families — PF kill,
-     * width *and gen* degradation, silent link flap, queue stall, QPI
-     * degradation, and interrupt loss/delay. Every episode heals inside
-     * its own horizon slice, so a plan that has fully replayed leaves
-     * the system nominally fault-free: whatever credits or bytes are
-     * still missing at quiescence are a driver leak, not a pending
-     * outage.
-     */
-    static FaultPlan randomStress(std::uint64_t seed, sim::Tick horizon,
-                                  int pf_count, int queue_count,
-                                  int episodes = 10);
 
     /**
      * Sanity-check the schedule against @p spec: contradictory PF

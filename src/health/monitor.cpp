@@ -67,7 +67,7 @@ HealthMonitor::start()
     plane_.setWeightedSteering(true);
     plane_.applyPfWeights(weights());
     tick_ = plane_.planeSim().schedulePeriodic(
-        cfg_.samplePeriod, cfg_.samplePeriod, [this] { sampleTick(); });
+        kSamplePeriod, kSamplePeriod, [this] { sampleTick(); });
 }
 
 HealthMonitor::~HealthMonitor()

@@ -4,8 +4,9 @@
  * steering plane — every PF and every steerable queue — and drives
  * weighted re-steering through the plane's device-agnostic interface.
  *
- * Every samplePeriod the monitor takes an EndpointTelemetry snapshot of
- * each endpoint and feeds the deltas to that endpoint's HealthScore:
+ * Every kSamplePeriod (500 us) the monitor takes an EndpointTelemetry
+ * snapshot of each endpoint and feeds the deltas to that endpoint's
+ * HealthScore:
  *
  *  - **PF endpoints** aggregate link state, trained width/gen fraction
  *    and AER/drop/abort counters. A PF verdict moves a *weighted share*
@@ -50,8 +51,6 @@ class HealthMonitor
     /** Spawn the sampling task (idempotent). */
     void start();
 
-    const HealthConfig& config() const { return cfg_; }
-
     /** The judged plane (differential prober sends probes through it). */
     steer::SteerablePlane& plane() { return plane_; }
 
@@ -86,12 +85,6 @@ class HealthMonitor
     {
         return qscores_.at(q).state();
     }
-
-    const HealthScore& queueScore(int q) const { return qscores_.at(q); }
-
-    /** The PF target last pushed for queue @p q (its home PF until a
-     *  verdict moved it). */
-    int queueTarget(int q) const { return lastTarget_.at(q); }
 
     /** True while a queue-grain verdict (or admin drain) holds @p q
      *  away from its PF group's target. */

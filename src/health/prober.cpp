@@ -2,14 +2,33 @@
 
 #include "obs/hub.hpp"
 #include "sim/simulator.hpp"
+#include "sim/time.hpp"
 
 namespace octo::health {
 
 using steer::Endpoint;
 
-DifferentialProber::DifferentialProber(HealthMonitor& monitor,
-                                       ProberConfig cfg)
-    : mon_(monitor), cfg_(cfg)
+namespace {
+
+/** Gap between probing rounds. */
+constexpr sim::Tick kPeriod = sim::fromMs(1);
+/** Probes per PF per round (averaged into one RTT sample). */
+constexpr int kProbesPerRound = 2;
+/** Outlier when ewma > ratio x best sibling + margin ... */
+constexpr double kOutlierRatio = 3.0;
+constexpr sim::Tick kMargin = sim::fromUs(20);
+/** ... or unconditionally above this bound (catches the case where
+ *  *every* sibling is gray and there is no good baseline). */
+constexpr sim::Tick kAbsoluteRtt = sim::fromMs(1);
+/** Rounds over the line before the demotion fires. */
+constexpr int kConsecutiveRounds = 2;
+/** EWMA smoothing factor for new samples. */
+constexpr double kEwmaAlpha = 0.4;
+
+} // namespace
+
+DifferentialProber::DifferentialProber(HealthMonitor& monitor)
+    : mon_(monitor)
 {
     const int pfs = mon_.plane().pfCount();
     ewma_.assign(pfs, -1.0);
@@ -58,7 +77,7 @@ DifferentialProber::run()
     sim::Simulator& sim = plane.planeSim();
     const int pfs = plane.pfCount();
     for (;;) {
-        co_await sim::delay(sim, cfg_.period);
+        co_await sim::delay(sim, kPeriod);
         ++rounds_;
         std::vector<double> rtt(pfs, -1.0);
         for (int pf = 0; pf < pfs; ++pf) {
@@ -69,7 +88,7 @@ DifferentialProber::run()
                 continue;
             double sum = 0.0;
             int n = 0;
-            for (int k = 0; k < cfg_.probesPerRound; ++k) {
+            for (int k = 0; k < kProbesPerRound; ++k) {
                 const sim::Tick t0 = sim.now();
                 const bool ok = co_await plane.probe(pf);
                 const sim::Tick el = sim.now() - t0;
@@ -88,8 +107,8 @@ DifferentialProber::run()
             const double avg = sum / n;
             ewma_[pf] = ewma_[pf] < 0
                             ? avg
-                            : cfg_.ewmaAlpha * avg +
-                                  (1.0 - cfg_.ewmaAlpha) * ewma_[pf];
+                            : kEwmaAlpha * avg +
+                                  (1.0 - kEwmaAlpha) * ewma_[pf];
             rtt[pf] = ewma_[pf];
         }
 
@@ -110,15 +129,15 @@ DifferentialProber::run()
             }
             const bool differential =
                 sampled >= 2 &&
-                rtt[pf] > cfg_.outlierRatio * best +
-                              static_cast<double>(cfg_.margin);
+                rtt[pf] > kOutlierRatio * best +
+                              static_cast<double>(kMargin);
             const bool absolute =
-                rtt[pf] > static_cast<double>(cfg_.absoluteRtt);
+                rtt[pf] > static_cast<double>(kAbsoluteRtt);
             if (!differential && !absolute) {
                 streak_[pf] = 0;
                 continue;
             }
-            if (++streak_[pf] < cfg_.consecutiveRounds)
+            if (++streak_[pf] < kConsecutiveRounds)
                 continue;
             streak_[pf] = 0;
             ewma_[pf] = -1.0; // fresh baseline when it comes back

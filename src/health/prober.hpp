@@ -7,14 +7,14 @@
  * movement. What a gray PF cannot hide is its *round-trip time
  * relative to its siblings*: the same 64 B probe posted through each
  * PF of the octoNIC either completes in the same handful of
- * microseconds, or it doesn't. The prober periodically sends a small
- * batch of probes through every in-service PF of a plane, keeps a
- * per-PF RTT EWMA (a swallowed completion runs the probe clock to the
+ * microseconds, or it doesn't. Every 1 ms the prober sends two probes
+ * through every in-service PF of a plane, keeps a per-PF RTT EWMA
+ * (alpha 0.4; a swallowed completion runs the probe clock to the
  * plane's watchdog — a huge sample, which is exactly the signal), and
  * demotes a PF through HealthMonitor::demoteExternal() when its EWMA
- * stays above `outlierRatio x best-sibling + margin` (or above the
- * absolute bound) for `consecutiveRounds` rounds. Recovery then runs
- * through the monitor's normal Failed → Probation → probe ladder.
+ * stays above 3 x best-sibling + 20 us (or above 1 ms outright) for
+ * two rounds in a row. Recovery then runs through the monitor's
+ * normal Failed → Probation → probe ladder.
  */
 #pragma once
 
@@ -23,43 +23,19 @@
 
 #include "health/monitor.hpp"
 #include "sim/task.hpp"
-#include "sim/time.hpp"
 
 namespace octo::health {
-
-struct ProberConfig
-{
-    /** Gap between probing rounds. */
-    sim::Tick period = sim::fromMs(2);
-    /** Probes per PF per round (averaged into one RTT sample). */
-    int probesPerRound = 4;
-    /** Outlier when ewma > ratio x best sibling + margin ... */
-    double outlierRatio = 3.0;
-    sim::Tick margin = sim::fromUs(20);
-    /** ... or unconditionally above this bound (catches the case
-     *  where *every* sibling is gray and there is no good baseline). */
-    sim::Tick absoluteRtt = sim::fromMs(1);
-    /** Rounds over the line before the demotion fires. */
-    int consecutiveRounds = 2;
-    /** EWMA smoothing factor for new samples. */
-    double ewmaAlpha = 0.4;
-};
 
 class DifferentialProber
 {
   public:
-    explicit DifferentialProber(HealthMonitor& monitor,
-                                ProberConfig cfg = {});
+    explicit DifferentialProber(HealthMonitor& monitor);
 
     /** Spawn the probing task (idempotent). */
     void start();
 
     /** Current RTT EWMA for @p pf in microseconds (-1 = no sample). */
     double rttUs(int pf) const;
-
-    std::uint64_t rounds() const { return rounds_; }
-    std::uint64_t probesSent() const { return probesSent_; }
-    std::uint64_t probesTimedOut() const { return probesTimedOut_; }
 
     /** Demotion requests issued to the monitor. */
     std::uint64_t demotions() const { return demotions_; }
@@ -68,7 +44,6 @@ class DifferentialProber
     sim::Task<> run();
 
     HealthMonitor& mon_;
-    ProberConfig cfg_;
     std::vector<double> ewma_;  ///< Per-PF RTT EWMA in ticks (-1 unset).
     std::vector<int> streak_;   ///< Consecutive outlier rounds per PF.
     sim::Task<> task_;

@@ -65,50 +65,52 @@ stateName(HealthState s)
     return "?";
 }
 
-/** Tunables for health monitoring and graceful degradation. */
+// Health-monitoring constants, shared by every monitor.
+
+/** Counter-sampling period of the monitor task. */
+inline constexpr sim::Tick kSamplePeriod = sim::fromUs(500);
+
+/** Bandwidth fraction below which a PF *enters* Degraded... */
+inline constexpr double kDegradeEnter = 0.90;
+/** ...and the (higher) fraction required to *leave* it. The gap is the
+ *  hysteresis band: a link oscillating between the two thresholds
+ *  causes no state change at all. */
+inline constexpr double kDegradeExit = 0.97;
+
+/** Consecutive below-threshold samples required to enter Degraded (a
+ *  single retraining blip is not a sickness). */
+inline constexpr int kEnterSamples = 2;
+
+/** Consecutive clean samples Probation needs before promoting back to
+ *  Healthy (and restoring full weight). */
+inline constexpr int kExitSamples = 4;
+
+/** Weight fraction carried while on Probation: enough traffic to
+ *  exercise the recovered link, little enough that a relapse hurts few
+ *  flows. */
+inline constexpr double kProbationWeight = 0.25;
+
+/** Probation backoff bounds: the delay before a sick PF may try to
+ *  rehabilitate doubles on every relapse between these clamps. */
+inline constexpr sim::Tick kBackoffMin = sim::fromMs(1);
+inline constexpr sim::Tick kBackoffMax = sim::fromMs(64);
+
+/** A PF that stays clean this long is forgiven: its backoff resets to
+ *  kBackoffMin. */
+inline constexpr sim::Tick kBackoffReset = sim::fromMs(50);
+
+/** Minimum relative weight change that justifies re-steering while
+ *  already Degraded (deadband against counter noise). */
+inline constexpr double kWeightDeadband = 0.10;
+
+/** A sample showing fresh queue-stall events scales the observed
+ *  bandwidth fraction by this factor: a stalling PF is treated as sick
+ *  even when its link trains at full width. */
+inline constexpr double kStallPenalty = 0.50;
+
+/** The one health-monitoring setting a caller chooses. */
 struct HealthConfig
 {
-    /** Counter-sampling period of the monitor task. */
-    sim::Tick samplePeriod = sim::fromUs(500);
-
-    /** Bandwidth fraction below which a PF *enters* Degraded... */
-    double degradeEnter = 0.90;
-    /** ...and the (higher) fraction required to *leave* it. The gap is
-     *  the hysteresis band: a link oscillating between the two
-     *  thresholds causes no state change at all. */
-    double degradeExit = 0.97;
-
-    /** Consecutive below-threshold samples required to enter Degraded
-     *  (a single retraining blip is not a sickness). */
-    int enterSamples = 2;
-
-    /** Consecutive clean samples Probation needs before promoting back
-     *  to Healthy (and restoring full weight). */
-    int exitSamples = 4;
-
-    /** Weight fraction carried while on Probation: enough traffic to
-     *  exercise the recovered link, little enough that a relapse hurts
-     *  few flows. */
-    double probationWeight = 0.25;
-
-    /** Probation backoff bounds: the delay before a sick PF may try to
-     *  rehabilitate doubles on every relapse between these clamps. */
-    sim::Tick backoffMin = sim::fromMs(1);
-    sim::Tick backoffMax = sim::fromMs(64);
-
-    /** A PF that stays clean this long is forgiven: its backoff resets
-     *  to backoffMin. */
-    sim::Tick backoffReset = sim::fromMs(50);
-
-    /** Minimum relative weight change that justifies re-steering while
-     *  already Degraded (deadband against counter noise). */
-    double weightDeadband = 0.10;
-
-    /** A sample showing fresh queue-stall events scales the observed
-     *  bandwidth fraction by this factor: a stalling PF is treated as
-     *  sick even when its link trains at full width. */
-    double stallPenalty = 0.50;
-
     /** Gate Probation exit on an active probe: instead of promoting on
      *  clean-sample counting alone, the monitor sends a tiny RR probe
      *  load through the recovering PF and promotes only when it
@@ -140,13 +142,13 @@ class HealthScore
 {
   public:
     /**
-     * @param cfg          Shared tunables (owned by the monitor).
+     * @param cfg          The monitor's settings (owned by it).
      * @param nominal_gbps The PF's full-width full-gen bandwidth; the
      *                     steering weight is this value scaled by health.
      */
     HealthScore(const HealthConfig& cfg, double nominal_gbps)
         : cfg_(cfg), nominal_(nominal_gbps), weight_(nominal_gbps),
-          backoff_(cfg.backoffMin)
+          backoff_(kBackoffMin)
     {
     }
 
@@ -177,7 +179,7 @@ class HealthScore
     observe(const HealthSample& s)
     {
         const double bw =
-            s.bwFraction * (s.stallDelta > 0 ? cfg_.stallPenalty : 1.0);
+            s.bwFraction * (s.stallDelta > 0 ? kStallPenalty : 1.0);
         lastBw_ = bw;
 
         switch (state_) {
@@ -185,8 +187,8 @@ class HealthScore
             if (!s.linkUp)
                 return fail(s.now);
             maybeForgive(s.now);
-            if (bw < cfg_.degradeEnter) {
-                if (++belowStreak_ >= cfg_.enterSamples)
+            if (bw < kDegradeEnter) {
+                if (++belowStreak_ >= kEnterSamples)
                     return degrade(s.now, bw);
             } else {
                 belowStreak_ = 0;
@@ -196,24 +198,24 @@ class HealthScore
           case HealthState::Degraded:
             if (!s.linkUp)
                 return fail(s.now);
-            if (bw >= cfg_.degradeExit) {
+            if (bw >= kDegradeExit) {
                 // Heal attempt is gated by the backoff so a square-wave
                 // fault cannot bounce Degraded<->Healthy on every edge.
                 if (s.now - enteredAt_ >= backoff_)
                     return probation(s.now);
                 return false;
             }
-            belowStreak_ = cfg_.enterSamples;
+            belowStreak_ = kEnterSamples;
             // Deeper (or partially recovered) degradation: follow it
             // only when the weight moved beyond the deadband.
-            if (relDelta(nominal_ * bw, weight_) > cfg_.weightDeadband) {
+            if (relDelta(nominal_ * bw, weight_) > kWeightDeadband) {
                 weight_ = nominal_ * bw;
                 return true;
             }
             return false;
 
           case HealthState::Failed:
-            if (s.linkUp && bw >= cfg_.degradeExit &&
+            if (s.linkUp && bw >= kDegradeExit &&
                 s.now - enteredAt_ >= backoff_) {
                 return probation(s.now);
             }
@@ -222,13 +224,13 @@ class HealthScore
           case HealthState::Probation:
             if (!s.linkUp)
                 return fail(s.now);
-            if (bw < cfg_.degradeEnter) {
+            if (bw < kDegradeEnter) {
                 // Relapse during the trial period.
                 penalize(s.now);
-                belowStreak_ = cfg_.enterSamples;
+                belowStreak_ = kEnterSamples;
                 return degrade(s.now, bw);
             }
-            if (++cleanStreak_ >= cfg_.exitSamples) {
+            if (++cleanStreak_ >= kExitSamples) {
                 if (!cfg_.probePromotion)
                     return promote(s.now);
                 // Telemetry looks clean: hand the verdict to an active
@@ -301,12 +303,12 @@ class HealthScore
     penalize(sim::Tick now)
     {
         const bool was_clean = state_ == HealthState::Healthy &&
-                               now - healthySince_ > cfg_.backoffReset;
+                               now - healthySince_ > kBackoffReset;
         if (lastBadAt_ > 0 && !was_clean) {
-            backoff_ = std::min(backoff_ * 2, cfg_.backoffMax);
+            backoff_ = std::min(backoff_ * 2, kBackoffMax);
             ++relapses_;
         } else {
-            backoff_ = cfg_.backoffMin;
+            backoff_ = kBackoffMin;
         }
         lastBadAt_ = now;
     }
@@ -315,8 +317,8 @@ class HealthScore
     void
     maybeForgive(sim::Tick now)
     {
-        if (lastBadAt_ > 0 && now - healthySince_ > cfg_.backoffReset)
-            backoff_ = cfg_.backoffMin;
+        if (lastBadAt_ > 0 && now - healthySince_ > kBackoffReset)
+            backoff_ = kBackoffMin;
     }
 
     bool
@@ -350,7 +352,7 @@ class HealthScore
     probation(sim::Tick now)
     {
         return enter(HealthState::Probation, now,
-                     nominal_ * cfg_.probationWeight);
+                     nominal_ * kProbationWeight);
     }
 
     bool

@@ -64,15 +64,6 @@ class ShardedCounter
         return t;
     }
 
-    /** Leaf value for @p node (-1 = the untagged leaf); tests and
-     *  per-node breakdown probes. */
-    std::uint64_t
-    leafValue(int node) const
-    {
-        const int i = node >= 0 && node <= kMaxNode ? node + 1 : 0;
-        return cells_[i].v;
-    }
-
     /** Register the aggregated view as a callback counter row. The
      *  returned registry counter reads total() until freeze(). */
     Counter&

@@ -161,23 +161,13 @@ class PciFunction
     {
         return grayDelayP_ > 0.0 || grayDropP_ > 0.0;
     }
-    double grayDropP() const { return grayDropP_; }
 
-    /** Bernoulli draw against the gray-drop probability. Counted in a
-     *  hidden (non-telemetry) counter for tests only. */
+    /** Bernoulli draw against the gray-drop probability. */
     bool
     grayDropSample()
     {
-        if (grayDropP_ <= 0.0 || !grayRng_.chance(grayDropP_))
-            return false;
-        ++grayDropsApplied_;
-        return true;
+        return grayDropP_ > 0.0 && grayRng_.chance(grayDropP_);
     }
-
-    /** Ground-truth gray activity, for tests — never exported as a
-     *  metric (that would defeat the gray-ness). */
-    std::uint64_t grayDelaysApplied() const { return grayDelaysApplied_; }
-    std::uint64_t grayDropsApplied() const { return grayDropsApplied_; }
 
     // ------------------------------------------------- health telemetry
     /** Effective bandwidth as a fraction of nominal: (operational
@@ -187,13 +177,6 @@ class PciFunction
     bwFraction() const
     {
         return static_cast<double>(operLanes_) / lanes_ * genScale_;
-    }
-
-    /** Effective link bandwidth in Gb/s at the current width and gen. */
-    double
-    effectiveGbps() const
-    {
-        return operLanes_ * host_.cal().pcieLaneGbps * genScale_;
     }
 
     /** Full-width full-gen bandwidth in Gb/s (steering-weight scale). */
@@ -328,7 +311,6 @@ class PciFunction
     {
         if (grayDelayP_ <= 0.0 || !grayRng_.chance(grayDelayP_))
             return 0;
-        ++grayDelaysApplied_;
         return grayDelayExtra_;
     }
 
@@ -426,8 +408,6 @@ class PciFunction
     double grayDelayP_ = 0.0;
     Tick grayDelayExtra_ = 0;
     double grayDropP_ = 0.0;
-    std::uint64_t grayDelaysApplied_ = 0;
-    std::uint64_t grayDropsApplied_ = 0;
     // Seeded from the PF identity, not wall-clock: gray behavior is
     // deterministic per run like everything else in the model.
     sim::Rng grayRng_{0xC0FFEEull ^

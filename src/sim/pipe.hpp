@@ -59,12 +59,6 @@ class Pipe
     /** Number of transfers served. */
     std::uint64_t transfers() const { return transfers_; }
 
-    /**
-     * Earliest tick at which the server is free. Useful for "is this
-     * resource backed up" style introspection in tests.
-     */
-    Tick nextFree() const { return nextFree_; }
-
     /** Current queueing backlog, in ticks of service time. */
     Tick
     backlog() const

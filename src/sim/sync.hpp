@@ -370,8 +370,6 @@ class Gate
     Gate(const Gate&) = delete;
     Gate& operator=(const Gate&) = delete;
 
-    bool isOpen() const { return open_; }
-
     void
     open()
     {

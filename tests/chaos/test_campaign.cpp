@@ -2,10 +2,15 @@
  * @file
  * Campaign-builder tests: the declarative scenarios emit exactly the
  * schedules they promise — correlated dual-PF windows overlap, storms
- * are seed-deterministic Poisson mixes confined to the declared target
- * population, gray episodes always heal — and every generated plan
- * passes FaultPlan::validate() against its own TargetSpec.
+ * are seed-deterministic Poisson mixes that draw every fault family
+ * their declared target population supports and stay inside it, gray
+ * episodes always heal — and every generated plan passes
+ * FaultPlan::validate() against its own TargetSpec.
  */
+#include <cstdint>
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "chaos/campaign.hpp"
@@ -103,7 +108,8 @@ TEST(Storm, EveryFaultHealsInsideTheHorizon)
     spec.intensity = 2.0;
     spec.targets = {2, 8, 2};
     const FaultPlan plan = storm(spec);
-    int open_pf = 0, open_gray = 0, open_qpi = 0;
+    int open_pf = 0, open_gray = 0, open_qpi = 0, open_link = 0,
+        open_irq = 0;
     for (const auto& ev : plan.events()) {
         EXPECT_LT(ev.at, spec.horizon);
         EXPECT_LE(ev.at + ev.duration, spec.horizon)
@@ -118,12 +124,51 @@ TEST(Storm, EveryFaultHealsInsideTheHorizon)
           case FaultKind::PfGrayRestore: --open_gray; break;
           case FaultKind::QpiDegrade: ++open_qpi; break;
           case FaultKind::QpiRestore: --open_qpi; break;
+          case FaultKind::PcieLinkDown: ++open_link; break;
+          case FaultKind::PcieLinkUp: --open_link; break;
+          case FaultKind::IrqDrop:
+          case FaultKind::IrqDelay: ++open_irq; break;
+          case FaultKind::IrqRestore: --open_irq; break;
           default: break;
         }
     }
     EXPECT_EQ(open_pf, 0) << "an opened PF episode never healed";
     EXPECT_EQ(open_gray, 0) << "an opened gray episode never healed";
     EXPECT_EQ(open_qpi, 0) << "an opened QPI episode never healed";
+    EXPECT_EQ(open_link, 0) << "a silent link flap never came back up";
+    EXPECT_EQ(open_irq, 0) << "an interrupt fault was never restored";
+}
+
+TEST(Storm, DrawsEveryFamilyItsTargetsSupport)
+{
+    // With PFs, queues and NVMe SQs all declared, the storm is the one
+    // generator for every fault family the injector replays.
+    std::set<std::string> seen;
+    for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234ull}) {
+        for (double intensity : {1.0, 4.0}) {
+            StormSpec spec;
+            spec.seed = seed;
+            spec.intensity = intensity;
+            spec.targets = {2, 8, 2};
+            const FaultPlan plan = storm(spec);
+            EXPECT_TRUE(plan.validate(spec.targets).empty())
+                << "seed " << seed << " intensity " << intensity;
+            for (const auto& ev : plan.events()) {
+                if (ev.kind == FaultKind::PcieWidthDegrade) {
+                    if (ev.scale < 1.0)
+                        seen.insert("pcie_width_degrade.gen");
+                    continue;
+                }
+                seen.insert(fault::kindName(ev.kind));
+            }
+        }
+    }
+    for (const char* want :
+         {"pf_kill", "pcie_width_degrade.gen", "pcie_link_down",
+          "queue_stall", "nvme_doorbell_stuck", "nvme_cq_stall",
+          "qpi_degrade", "irq_drop", "irq_delay", "pf_gray_delay",
+          "pf_gray_drop"})
+        EXPECT_EQ(seen.count(want), 1u) << want << " never drawn";
 }
 
 TEST(Storm, RespectsTargetPopulation)
@@ -138,8 +183,9 @@ TEST(Storm, RespectsTargetPopulation)
     for (const auto& ev : plan.events()) {
         EXPECT_NE(ev.kind, FaultKind::NvmeDoorbellStuck);
         EXPECT_NE(ev.kind, FaultKind::NvmeCqStall);
-        if (ev.kind == FaultKind::QueueStall)
+        if (ev.kind == FaultKind::QueueStall) {
             EXPECT_LT(ev.target, 4);
+        }
     }
 }
 

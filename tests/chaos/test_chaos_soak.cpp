@@ -1,18 +1,36 @@
 /**
  * @file
- * Campaign soak with the continuous oracle: a correlated dual-PF kill
- * (overlapping dead windows) followed by a gray-sibling episode runs
- * against the monitored Ioctopus preset — kernel and polled — across
- * ten seeds, while the Oracle re-checks credit conservation, mempool
- * conservation, bounded re-steer churn, and flow progress every
- * 500 us *during* the fault activity. Zero violations is the pass bar;
- * quiescence re-asserts the end-state leak invariants on top.
+ * The fault soaks: one body per datapath, each run with the continuous
+ * Oracle re-checking its invariants every 500 us *during* the fault
+ * activity, then the end-state leak invariants at quiescence. Zero
+ * violations is the pass bar.
+ *
+ *  - The kernel body (TCP transfer through the interrupt stack) backs
+ *    ChaosCampaign.KernelPresetSurvivesWithOracleGreen and FaultSoak.
+ *    The Oracle watches window credits and reclaims on the socket
+ *    pair, re-steer churn and delivery progress. At quiescence the
+ *    sender's window is full again, every lost byte's credit was
+ *    reclaimed, and sent == delivered + buffered + lost.
+ *  - The polled body (closed-loop burst generator into a polled sink)
+ *    backs ChaosCampaign.PolledPresetSurvivesWithOracleGreen and
+ *    BypassFaultSoak. The Oracle watches both mempools, the Tx
+ *    in-flight bounds, re-steer churn and sink progress. At quiescence
+ *    every posted descriptor handed its completion back and each pool
+ *    is within capacity with allocs - frees == in use.
+ *
+ * Progress is exempt while a server PF link is down or the transfer is
+ * done. ChaosCampaign replays a correlated dual-PF kill plus a gray
+ * episode on the monitored Ioctopus preset across ten seeds; the two
+ * FaultSoak suites replay a 30 ms storm (every family, intensity 2)
+ * under every server mode, unmonitored, across three seeds.
  *
  * Also the gray-failure acceptance pins: the differential prober
  * demotes a gray PF that stock HealthMonitor telemetry (link state,
  * bwFraction, AER) provably never sees.
  */
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -57,24 +75,46 @@ campaignPlan(std::uint64_t seed)
     return plan;
 }
 
-OracleConfig
-oracleCfg()
+/** A storm over both server PFs and every queue that heals inside a
+ *  30 ms horizon, so after it the system is nominally fault-free and
+ *  the transfer can finish. */
+FaultPlan
+stormPlan(std::uint64_t seed)
 {
-    OracleConfig cfg;
-    cfg.period = fromUs(500);
-    // Tests read the log; a violation must fail the test, not the
-    // whole binary.
-    cfg.abortOnViolation = false;
-    return cfg;
+    const TestbedConfig defaults;
+    StormSpec spec;
+    spec.seed = seed;
+    spec.horizon = fromMs(30);
+    spec.intensity = 2.0;
+    spec.targets = {2, defaults.cal.nodes * defaults.cal.coresPerNode, 0};
+    return storm(spec);
 }
 
-/** Either server PF down = a legitimate reason for a flow to stall. */
+/** What a soak caller chooses; the checks are the body's. */
+struct Soak
+{
+    ServerMode mode = ServerMode::Ioctopus;
+    FaultPlan plan;
+    /** HealthMonitor and DifferentialProber on the server plane. */
+    bool monitored = false;
+    /** Transfer length: 32 KiB messages (kernel) or 1 KiB frames
+     *  (polled). */
+    int count = 0;
+    /** The transfer must be done by then; a 20 ms quiesce follows. */
+    sim::Tick runFor = 0;
+};
+
+/** A server PF link is down: a legitimate reason for a flow to stall. */
 std::function<bool()>
 anyPfDown(Testbed& tb)
 {
     return [&tb] {
-        return !tb.serverNic().function(0).linkUp() ||
-               !tb.serverNic().function(1).linkUp();
+        nic::NicDevice& nic = tb.serverNic();
+        for (int p = 0; p < nic.functionCount(); ++p) {
+            if (!nic.function(p).linkUp())
+                return true;
+        }
+        return false;
     };
 }
 
@@ -88,28 +128,29 @@ expectClean(const Oracle& oracle)
     EXPECT_GT(oracle.checks(), 100u);
 }
 
-class ChaosCampaign : public ::testing::TestWithParam<std::uint64_t>
+TestbedConfig
+soakConfig(const Soak& soak)
 {
-};
-
-TEST_P(ChaosCampaign, KernelPresetSurvivesWithOracleGreen)
-{
-    const std::uint64_t seed = GetParam();
     TestbedConfig cfg;
-    cfg.mode = ServerMode::Ioctopus;
-    cfg.faults = campaignPlan(seed);
-    cfg.healthMonitor = true;
-    cfg.diffProber = true;
-    cfg.prober.period = fromMs(1);
-    cfg.prober.probesPerRound = 2;
+    cfg.mode = soak.mode;
+    cfg.faults = soak.plan;
+    cfg.healthMonitor = soak.monitored;
+    cfg.diffProber = soak.monitored;
+    return cfg;
+}
 
-    Testbed tb(cfg);
+/** The kernel-datapath soak body. */
+void
+kernelSoak(const Soak& soak)
+{
+    ASSERT_FALSE(soak.plan.empty());
+    Testbed tb(soakConfig(soak));
     auto server_t = tb.serverThread(tb.workNode(), 0);
     auto client_t = tb.clientThread(0);
     auto pair = tb.connect(server_t, client_t);
 
     bool transfer_done = false;
-    Oracle oracle(tb.sim(), oracleCfg());
+    Oracle oracle(tb.sim());
     oracle.watchSocketPair(*pair.clientSock, *pair.serverSock);
     oracle.watchChurn(
         "resteers",
@@ -123,9 +164,8 @@ TEST_P(ChaosCampaign, KernelPresetSurvivesWithOracleGreen)
     oracle.start();
 
     const std::uint64_t msg = 32u << 10;
-    const int reps = 3000; // ~96 MB: spans the campaign
     auto sender = spawn([&]() -> Task<> {
-        for (int i = 0; i < reps; ++i) {
+        for (int i = 0; i < soak.count; ++i) {
             co_await pair.clientStack->send(pair.clientCtx,
                                             *pair.clientSock, msg);
         }
@@ -138,38 +178,35 @@ TEST_P(ChaosCampaign, KernelPresetSurvivesWithOracleGreen)
         }
     });
 
-    tb.runFor(fromMs(80));
+    tb.runFor(soak.runFor);
     ASSERT_TRUE(tb.injector()->done());
     ASSERT_TRUE(sender.done())
-        << "transfer wedged: steering never settled after the campaign";
-    tb.runFor(fromMs(20)); // quiesce
+        << "transfer wedged: a fault outlived its recovery path";
+    tb.runFor(fromMs(20)); // let retries and completions quiesce
 
     expectClean(oracle);
 
-    // End-state leak invariants on top of the continuous ones.
     const os::Socket& cs = *pair.clientSock;
     const os::Socket& ss = *pair.serverSock;
+    // Zero-leak credit invariant: every credit held by a lost frame was
+    // reclaimed, so the sender's window is exactly full again.
     EXPECT_EQ(cs.reclaimedBytes, cs.lostTxBytes + ss.lostRxBytes);
     EXPECT_EQ(cs.txWindow.count(),
               static_cast<std::int64_t>(cs.windowBytes));
-    EXPECT_EQ(msg * reps,
+    // Byte conservation: sent == delivered + still-buffered + lost.
+    EXPECT_EQ(msg * static_cast<std::uint64_t>(soak.count),
               ss.bytesDelivered + ss.rxBytesAvail + cs.lostTxBytes +
                   ss.lostRxBytes);
     EXPECT_GT(ss.bytesDelivered, 0u);
 }
 
-TEST_P(ChaosCampaign, PolledPresetSurvivesWithOracleGreen)
+/** The polled-datapath soak body. */
+void
+polledSoak(const Soak& soak)
 {
-    const std::uint64_t seed = GetParam();
-    TestbedConfig cfg;
-    cfg.mode = ServerMode::Ioctopus;
+    ASSERT_FALSE(soak.plan.empty());
+    TestbedConfig cfg = soakConfig(soak);
     cfg.bypass = true;
-    cfg.faults = campaignPlan(seed);
-    cfg.healthMonitor = true;
-    cfg.diffProber = true;
-    cfg.prober.period = fromMs(1);
-    cfg.prober.probesPerRound = 2;
-
     Testbed tb(cfg);
     nic::FiveTuple flow;
     flow.srcIp = Testbed::kServerIp;
@@ -188,7 +225,7 @@ TEST_P(ChaosCampaign, PolledPresetSurvivesWithOracleGreen)
     sim::Semaphore inflight(tb.sim(), kDepth);
 
     bool transfer_done = false;
-    Oracle oracle(tb.sim(), oracleCfg());
+    Oracle oracle(tb.sim());
     oracle.watchMempool("server", tb.serverPoll()->mempool(),
                         cfg.cal.nodes);
     oracle.watchMempool("client", tb.clientPoll()->mempool(),
@@ -210,12 +247,11 @@ TEST_P(ChaosCampaign, PolledPresetSurvivesWithOracleGreen)
     });
     oracle.start();
 
-    constexpr int kTotal = 60000; // 1 KiB frames, ~60 MB
     auto producer = spawn([&]() -> Task<> {
         int posted = 0;
-        while (posted < kTotal) {
+        while (posted < soak.count) {
             int n = 0;
-            while (n < kBurst && posted + n < kTotal &&
+            while (n < kBurst && posted + n < soak.count &&
                    inflight.tryAcquire())
                 ++n;
             if (n > 0) {
@@ -239,24 +275,99 @@ TEST_P(ChaosCampaign, PolledPresetSurvivesWithOracleGreen)
         }
     });
 
-    tb.runFor(fromMs(80));
+    tb.runFor(soak.runFor);
     ASSERT_TRUE(tb.injector()->done());
     ASSERT_TRUE(producer.done())
-        << "polled Tx wedged: a completion leaked under the campaign";
+        << "polled Tx wedged: a fault outlived its recovery path";
     tb.runFor(fromMs(20)); // quiesce
 
     expectClean(oracle);
 
-    // Zero leaked Tx completions: the in-flight budget is exactly
-    // whole again once every descriptor was reaped.
+    // Zero leaked Tx completions: every posted descriptor handed its
+    // completion back (error completions included).
     EXPECT_EQ(inflight.count(), static_cast<std::int64_t>(kDepth));
+
+    // Buffer conservation at quiescence, re-checked from the raw
+    // counters: what the pools handed out and never got back is
+    // exactly what sits in the Rx rings and nothing more.
+    for (auto* plane : {tb.serverPoll(), tb.clientPoll()}) {
+        const bypass::Mempool& pool = plane->mempool();
+        std::uint64_t in_use = 0;
+        for (int n = 0; n < cfg.cal.nodes; ++n) {
+            EXPECT_LE(pool.inUse(n), pool.capacity(n));
+            in_use += pool.inUse(n);
+        }
+        EXPECT_EQ(pool.allocs() - pool.frees(), in_use);
+    }
     EXPECT_GT(sink.rxFrames(), 0u);
+}
+
+class ChaosCampaign : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(ChaosCampaign, KernelPresetSurvivesWithOracleGreen)
+{
+    kernelSoak({.plan = campaignPlan(GetParam()),
+                .monitored = true,
+                .count = 3000, // ~96 MB: spans the campaign
+                .runFor = fromMs(80)});
+}
+
+TEST_P(ChaosCampaign, PolledPresetSurvivesWithOracleGreen)
+{
+    polledSoak({.plan = campaignPlan(GetParam()),
+                .monitored = true,
+                .count = 60000, // ~60 MB
+                .runFor = fromMs(80)});
 }
 
 INSTANTIATE_TEST_SUITE_P(TenSeeds, ChaosCampaign,
                          ::testing::Values(1ull, 2ull, 3ull, 5ull, 7ull,
                                            11ull, 13ull, 23ull, 42ull,
                                            97ull));
+
+class FaultSoak
+    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>>
+{
+};
+
+TEST_P(FaultSoak, RandomStressLeaksNothingAtQuiescence)
+{
+    kernelSoak({.mode = static_cast<ServerMode>(std::get<0>(GetParam())),
+                .plan = stormPlan(std::get<1>(GetParam())),
+                .count = 6000, // ~192 MB: spans the whole fault horizon
+                .runFor = fromMs(200)});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndSeeds, FaultSoak,
+    ::testing::Combine(
+        ::testing::Values(static_cast<int>(ServerMode::Local),
+                          static_cast<int>(ServerMode::Remote),
+                          static_cast<int>(ServerMode::Ioctopus)),
+        ::testing::Values(11ull, 23ull, 42ull)));
+
+class BypassFaultSoak
+    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>>
+{
+};
+
+TEST_P(BypassFaultSoak, RandomStressLeaksNoBuffersOrCompletions)
+{
+    polledSoak({.mode = static_cast<ServerMode>(std::get<0>(GetParam())),
+                .plan = stormPlan(std::get<1>(GetParam())),
+                .count = 40000, // 1 KiB frames, ~40 MB
+                .runFor = fromMs(200)});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PolledModesAndSeeds, BypassFaultSoak,
+    ::testing::Combine(
+        ::testing::Values(static_cast<int>(ServerMode::Local),
+                          static_cast<int>(ServerMode::Remote),
+                          static_cast<int>(ServerMode::Ioctopus)),
+        ::testing::Values(11ull, 23ull, 42ull)));
 
 // ---------------------------------------------------------------------
 // Gray-failure detection: the prober sees what telemetry cannot.
@@ -311,8 +422,6 @@ TEST(GrayFailure, DifferentialProberDemotesTheOutlierSibling)
     cfg.faults = plan;
     cfg.healthMonitor = true;
     cfg.diffProber = true;
-    cfg.prober.period = fromMs(1);
-    cfg.prober.probesPerRound = 2;
 
     Testbed tb(cfg);
     tb.runFor(fromMs(4));

@@ -3,8 +3,7 @@
  * Oracle unit tests: the continuous checker actually catches broken
  * accounting (each canned watcher fires on a provoked violation, with
  * a snapshot naming the offending numbers) and stays silent on
- * consistent state. abortOnViolation is off throughout — these tests
- * *want* violations to be recorded, not fatal.
+ * consistent state. The Oracle only records; these tests read its log.
  */
 #include <cstdint>
 
@@ -20,18 +19,10 @@ namespace {
 
 using sim::fromMs;
 
-OracleConfig
-lenient()
-{
-    OracleConfig cfg;
-    cfg.abortOnViolation = false;
-    return cfg;
-}
-
 TEST(Oracle, CustomInvariantRecordsSnapshotAndTime)
 {
     sim::Simulator sim;
-    Oracle oracle(sim, lenient());
+    Oracle oracle(sim);
     bool broken = false;
     oracle.addInvariant("credit_total", [&]() -> std::string {
         return broken ? "held=-3 outside [0, 480k]" : "";
@@ -57,7 +48,7 @@ TEST(Oracle, MempoolWatcherCatchesUnaccountedBuffers)
     bypass::Mempool pool(sim, "pool");
     pool.addCapacity(0, 8);
     pool.addCapacity(1, 8);
-    Oracle oracle(sim, lenient());
+    Oracle oracle(sim);
     // Deliberately mis-scoped watcher: it sums node 0 only, so buffers
     // taken on node 1 look minted — the exact signature a real arena
     // leak would show. (The pool's own API cannot be driven into an
@@ -85,7 +76,7 @@ TEST(Oracle, ChurnWatcherFlagsOscillation)
 {
     sim::Simulator sim;
     std::uint64_t resteers = 0;
-    Oracle oracle(sim, lenient());
+    Oracle oracle(sim);
     oracle.watchChurn("resteers", [&] { return resteers; }, 4);
     oracle.start();
 
@@ -107,7 +98,7 @@ TEST(Oracle, ProgressWatcherHonorsExemption)
     sim::Simulator sim;
     std::uint64_t delivered = 0;
     bool all_paths_dead = false;
-    Oracle oracle(sim, lenient());
+    Oracle oracle(sim);
     oracle.watchProgress("flow", [&] { return delivered; }, fromMs(2),
                          [&] { return all_paths_dead; });
     oracle.start();
@@ -134,7 +125,7 @@ TEST(Oracle, ProgressWatcherHonorsExemption)
 TEST(Oracle, SweepIsReadOnlyAndCountsChecks)
 {
     sim::Simulator sim;
-    Oracle oracle(sim, lenient());
+    Oracle oracle(sim);
     int calls = 0;
     oracle.addInvariant("a", [&]() -> std::string {
         ++calls;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/campaign.hpp"
 #include "core/testbed.hpp"
 #include "fault/plan.hpp"
 #include "sim/task.hpp"
@@ -132,7 +133,11 @@ runCountersOnce()
 {
     TestbedConfig cfg;
     cfg.mode = ServerMode::Ioctopus;
-    cfg.faults = FaultPlan::randomized(1234, fromMs(150), 2, 4, 4);
+    chaos::StormSpec storm;
+    storm.seed = 1234;
+    storm.horizon = fromMs(150);
+    storm.targets = {2, 4, 0};
+    cfg.faults = chaos::storm(storm);
     Testbed tb(cfg);
     auto server_t = tb.serverThread(1, 0);
     auto client_t = tb.clientThread(0);

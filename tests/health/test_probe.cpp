@@ -33,24 +33,23 @@ constexpr double kNominal = 63.0;
 
 /** Drive a score into Probation with a pending probe. */
 void
-driveToProbePending(HealthScore& score, const HealthConfig& cfg,
-                    Tick* now)
+driveToProbePending(HealthScore& score, Tick* now)
 {
     const auto feed = [&](int count, double bw) {
         for (int i = 0; i < count; ++i) {
-            *now += cfg.samplePeriod;
+            *now += kSamplePeriod;
             HealthSample s;
             s.now = *now;
             s.bwFraction = bw;
             score.observe(s);
         }
     };
-    feed(cfg.enterSamples, 0.2); // degrade
+    feed(kEnterSamples, 0.2); // degrade
     ASSERT_EQ(score.state(), HealthState::Degraded);
-    *now += cfg.backoffMax;      // outwait any backoff
+    *now += kBackoffMax;      // outwait any backoff
     feed(1, 1.0);                // heal attempt -> Probation
     ASSERT_EQ(score.state(), HealthState::Probation);
-    feed(cfg.exitSamples, 1.0);  // clean streak completes
+    feed(kExitSamples, 1.0);  // clean streak completes
 }
 
 TEST(ProbeScore, CleanStreakArmsProbeInsteadOfPromoting)
@@ -59,7 +58,7 @@ TEST(ProbeScore, CleanStreakArmsProbeInsteadOfPromoting)
     cfg.probePromotion = true;
     HealthScore score(cfg, kNominal);
     Tick now = 0;
-    driveToProbePending(score, cfg, &now);
+    driveToProbePending(score, &now);
     EXPECT_EQ(score.state(), HealthState::Probation)
         << "clean telemetry alone must not promote";
     EXPECT_TRUE(score.probePending());
@@ -76,7 +75,7 @@ TEST(ProbeScore, FailedProbeReDemotesWithBackoffEscalation)
     cfg.probePromotion = true;
     HealthScore score(cfg, kNominal);
     Tick now = 0;
-    driveToProbePending(score, cfg, &now);
+    driveToProbePending(score, &now);
     const Tick backoff_before = score.backoff();
 
     EXPECT_TRUE(score.probeFailed(now));
@@ -104,11 +103,11 @@ TEST(ProbeScore, RelapseWhileProbeInFlightVoidsTheVerdict)
     cfg.probePromotion = true;
     HealthScore score(cfg, kNominal);
     Tick now = 0;
-    driveToProbePending(score, cfg, &now);
+    driveToProbePending(score, &now);
 
     // The link flaps while the probe is in flight: the state machine
     // moves on, and the late probe result must not resurrect it.
-    now += cfg.samplePeriod;
+    now += kSamplePeriod;
     HealthSample bad;
     bad.now = now;
     bad.linkUp = false;

@@ -18,15 +18,15 @@ using sim::fromUs;
 
 constexpr double kNominal = 63.0; // x8 gen3 at the calibrated lane rate
 
-/** Feed @p count identical samples spaced by the config's period,
+/** Feed @p count identical samples spaced by the sample period,
  *  starting right after @p *now; returns how many changed the verdict. */
 int
-feed(HealthScore& score, const HealthConfig& cfg, Tick* now, int count,
-     double bw, bool link_up = true, std::uint64_t stalls = 0)
+feed(HealthScore& score, Tick* now, int count, double bw,
+     bool link_up = true, std::uint64_t stalls = 0)
 {
     int changed = 0;
     for (int i = 0; i < count; ++i) {
-        *now += cfg.samplePeriod;
+        *now += kSamplePeriod;
         HealthSample s;
         s.now = *now;
         s.linkUp = link_up;
@@ -98,12 +98,12 @@ TEST(HealthScore, StartsHealthyAtFullWeight)
 
 TEST(HealthScore, SingleBlipBelowThresholdIsIgnored)
 {
-    HealthConfig cfg; // enterSamples = 2
+    HealthConfig cfg; // kEnterSamples = 2
     HealthScore score(cfg, kNominal);
     Tick now = 0;
-    feed(score, cfg, &now, 1, 0.25); // one bad sample (retraining blip)
+    feed(score, &now, 1, 0.25); // one bad sample (retraining blip)
     EXPECT_EQ(score.state(), HealthState::Healthy);
-    feed(score, cfg, &now, 5, 1.0);
+    feed(score, &now, 5, 1.0);
     EXPECT_EQ(score.state(), HealthState::Healthy);
     EXPECT_EQ(score.transitions(), 0u);
 }
@@ -113,7 +113,7 @@ TEST(HealthScore, SustainedDegradationScalesWeight)
     HealthConfig cfg;
     HealthScore score(cfg, kNominal);
     Tick now = 0;
-    feed(score, cfg, &now, cfg.enterSamples, 0.25); // x8 -> x2
+    feed(score, &now, kEnterSamples, 0.25); // x8 -> x2
     EXPECT_EQ(score.state(), HealthState::Degraded);
     EXPECT_DOUBLE_EQ(score.weight(), kNominal * 0.25);
 }
@@ -123,7 +123,7 @@ TEST(HealthScore, LinkDownFailsImmediatelyWithZeroWeight)
     HealthConfig cfg;
     HealthScore score(cfg, kNominal);
     Tick now = 0;
-    feed(score, cfg, &now, 1, 1.0, /*link_up=*/false);
+    feed(score, &now, 1, 1.0, /*link_up=*/false);
     EXPECT_EQ(score.state(), HealthState::Failed);
     EXPECT_DOUBLE_EQ(score.weight(), 0.0);
 }
@@ -133,15 +133,15 @@ TEST(HealthScore, RecoveryGoesThroughProbationThenFullWeight)
     HealthConfig cfg;
     HealthScore score(cfg, kNominal);
     Tick now = 0;
-    feed(score, cfg, &now, 1, 1.0, false); // Failed
+    feed(score, &now, 1, 1.0, false); // Failed
     // Recovered link: promotion waits out the backoff first...
     const int backoff_samples =
-        static_cast<int>(cfg.backoffMin / cfg.samplePeriod);
-    feed(score, cfg, &now, backoff_samples + 1, 1.0);
+        static_cast<int>(kBackoffMin / kSamplePeriod);
+    feed(score, &now, backoff_samples + 1, 1.0);
     ASSERT_EQ(score.state(), HealthState::Probation);
-    EXPECT_DOUBLE_EQ(score.weight(), kNominal * cfg.probationWeight);
+    EXPECT_DOUBLE_EQ(score.weight(), kNominal * kProbationWeight);
     // ...then needs exitSamples clean samples to trust the PF again.
-    feed(score, cfg, &now, cfg.exitSamples, 1.0);
+    feed(score, &now, kExitSamples, 1.0);
     EXPECT_EQ(score.state(), HealthState::Healthy);
     EXPECT_DOUBLE_EQ(score.weight(), kNominal);
 }
@@ -153,9 +153,9 @@ TEST(HealthScore, StallEventsPenalizeAHealthyLink)
     Tick now = 0;
     // Link trains at full width but the queue datapath is stalling:
     // effective bw = 1.0 * stallPenalty = 0.5 < degradeEnter.
-    feed(score, cfg, &now, cfg.enterSamples, 1.0, true, /*stalls=*/3);
+    feed(score, &now, kEnterSamples, 1.0, true, /*stalls=*/3);
     EXPECT_EQ(score.state(), HealthState::Degraded);
-    EXPECT_DOUBLE_EQ(score.weight(), kNominal * cfg.stallPenalty);
+    EXPECT_DOUBLE_EQ(score.weight(), kNominal * kStallPenalty);
 }
 
 // ---------------------------------------------------------------------
@@ -168,16 +168,16 @@ TEST(HealthScore, OscillationInsideHysteresisBandCausesNoTransitions)
     Tick now = 0;
     // Noise band between the two thresholds: entirely absorbed.
     for (int i = 0; i < 200; ++i)
-        feed(score, cfg, &now, 1, i % 2 == 0 ? 0.92 : 0.96);
+        feed(score, &now, 1, i % 2 == 0 ? 0.92 : 0.96);
     EXPECT_EQ(score.state(), HealthState::Healthy);
     EXPECT_EQ(score.transitions(), 0u);
 
     // Same band while Degraded: weight deadband absorbs the wiggle.
-    feed(score, cfg, &now, cfg.enterSamples, 0.50);
+    feed(score, &now, kEnterSamples, 0.50);
     ASSERT_EQ(score.state(), HealthState::Degraded);
     const std::uint64_t entered = score.transitions();
     for (int i = 0; i < 200; ++i)
-        feed(score, cfg, &now, 1, i % 2 == 0 ? 0.48 : 0.52);
+        feed(score, &now, 1, i % 2 == 0 ? 0.48 : 0.52);
     EXPECT_EQ(score.state(), HealthState::Degraded);
     EXPECT_EQ(score.transitions(), entered);
 }
@@ -187,13 +187,13 @@ TEST(HealthScore, DeadbandFollowsLargeWeightMovesOnly)
     HealthConfig cfg;
     HealthScore score(cfg, kNominal);
     Tick now = 0;
-    feed(score, cfg, &now, cfg.enterSamples, 0.50);
+    feed(score, &now, kEnterSamples, 0.50);
     ASSERT_EQ(score.state(), HealthState::Degraded);
     // 0.50 -> 0.52 is under the 10% deadband: no verdict.
-    EXPECT_EQ(feed(score, cfg, &now, 3, 0.52), 0);
+    EXPECT_EQ(feed(score, &now, 3, 0.52), 0);
     EXPECT_DOUBLE_EQ(score.weight(), kNominal * 0.50);
     // 0.50 -> 0.25 is a real move: verdict, weight follows.
-    EXPECT_EQ(feed(score, cfg, &now, 1, 0.25), 1);
+    EXPECT_EQ(feed(score, &now, 1, 0.25), 1);
     EXPECT_DOUBLE_EQ(score.weight(), kNominal * 0.25);
 }
 
@@ -204,11 +204,11 @@ TEST(HealthScore, SquareWaveFaultConvergesToBoundedTransitions)
     Tick now = 0;
     // 5 ms down / 5 ms up square wave for half a second: 100 edges.
     const int samples_per_phase =
-        static_cast<int>(fromMs(5) / cfg.samplePeriod);
+        static_cast<int>(fromMs(5) / kSamplePeriod);
     int edges = 0;
     for (int cycle = 0; cycle < 50; ++cycle) {
-        feed(score, cfg, &now, samples_per_phase, 0.25);
-        feed(score, cfg, &now, samples_per_phase, 1.0);
+        feed(score, &now, samples_per_phase, 0.25);
+        feed(score, &now, samples_per_phase, 1.0);
         edges += 2;
     }
     ASSERT_EQ(edges, 100);
@@ -219,7 +219,7 @@ TEST(HealthScore, SquareWaveFaultConvergesToBoundedTransitions)
     EXPECT_GE(score.relapses(), 3u);
     // The ladder climbed to the cap and stayed — the wave never earned
     // the continuous healthy tenure that forgiveness requires.
-    EXPECT_EQ(score.backoff(), cfg.backoffMax);
+    EXPECT_EQ(score.backoff(), kBackoffMax);
 }
 
 // ---------------------------------------------------------------------
@@ -230,24 +230,24 @@ TEST(HealthScore, BackoffDoublesOnRelapseUpToCap)
     HealthConfig cfg;
     HealthScore score(cfg, kNominal);
     Tick now = 0;
-    Tick expected = cfg.backoffMin;
+    Tick expected = kBackoffMin;
     // Each fail->recover cycle within the backoffReset window is a
     // relapse: 1, 2, 4, ... capped at backoffMax. Seven cycles reach
     // the 64 ms cap; beyond that the inter-fault gap exceeds
     // backoffReset and the schedule would (correctly) forgive.
     for (int i = 0; i < 7; ++i) {
-        feed(score, cfg, &now, 1, 1.0, /*link_up=*/false);
+        feed(score, &now, 1, 1.0, /*link_up=*/false);
         ASSERT_EQ(score.state(), HealthState::Failed);
         if (i > 0)
-            expected = std::min(expected * 2, cfg.backoffMax);
+            expected = std::min(expected * 2, kBackoffMax);
         EXPECT_EQ(score.backoff(), expected) << "cycle " << i;
         // Wait out the (known) backoff, then hand it a clean link so
         // the next cycle starts from Probation.
         const int wait =
-            static_cast<int>(score.backoff() / cfg.samplePeriod) + 1;
-        feed(score, cfg, &now, wait, 1.0);
+            static_cast<int>(score.backoff() / kSamplePeriod) + 1;
+        feed(score, &now, wait, 1.0);
     }
-    EXPECT_EQ(score.backoff(), cfg.backoffMax);
+    EXPECT_EQ(score.backoff(), kBackoffMax);
 }
 
 TEST(HealthScore, LongCleanSpellForgivesTheBackoff)
@@ -257,19 +257,19 @@ TEST(HealthScore, LongCleanSpellForgivesTheBackoff)
     Tick now = 0;
     // Two quick failures escalate the backoff...
     for (int i = 0; i < 2; ++i) {
-        feed(score, cfg, &now, 1, 1.0, false);
+        feed(score, &now, 1, 1.0, false);
         const int wait =
-            static_cast<int>(score.backoff() / cfg.samplePeriod) + 1;
-        feed(score, cfg, &now, wait, 1.0);
-        feed(score, cfg, &now, cfg.exitSamples, 1.0);
+            static_cast<int>(score.backoff() / kSamplePeriod) + 1;
+        feed(score, &now, wait, 1.0);
+        feed(score, &now, kExitSamples, 1.0);
         ASSERT_EQ(score.state(), HealthState::Healthy);
     }
-    EXPECT_GT(score.backoff(), cfg.backoffMin);
+    EXPECT_GT(score.backoff(), kBackoffMin);
     // ...then a clean spell longer than backoffReset resets it.
     const int clean =
-        static_cast<int>(cfg.backoffReset / cfg.samplePeriod) + 2;
-    feed(score, cfg, &now, clean, 1.0);
-    EXPECT_EQ(score.backoff(), cfg.backoffMin);
+        static_cast<int>(kBackoffReset / kSamplePeriod) + 2;
+    feed(score, &now, clean, 1.0);
+    EXPECT_EQ(score.backoff(), kBackoffMin);
 }
 
 TEST(HealthScore, IdenticalSampleStreamsGiveIdenticalSchedules)
@@ -281,11 +281,11 @@ TEST(HealthScore, IdenticalSampleStreamsGiveIdenticalSchedules)
     Tick nb = 0;
     // A messy but fixed scenario: degradation, flap, recovery.
     auto scenario = [&](HealthScore& s, Tick* now) {
-        feed(s, cfg, now, 4, 0.25);
-        feed(s, cfg, now, 2, 1.0, false);
-        feed(s, cfg, now, 40, 1.0);
-        feed(s, cfg, now, 3, 0.5);
-        feed(s, cfg, now, 200, 1.0);
+        feed(s, now, 4, 0.25);
+        feed(s, now, 2, 1.0, false);
+        feed(s, now, 40, 1.0);
+        feed(s, now, 3, 0.5);
+        feed(s, now, 200, 1.0);
     };
     scenario(a, &na);
     scenario(b, &nb);

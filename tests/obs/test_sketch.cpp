@@ -77,10 +77,11 @@ TEST(SpaceSaving, ErrorBoundsUnderZipfianStream)
     // Residency guarantee: any key truly heavier than the minimum
     // resident weight must be resident.
     for (const auto& [key, count] : truth) {
-        if (count > min_w)
+        if (count > min_w) {
             EXPECT_NE(sk.find(key), nullptr)
                 << "heavy hitter " << key << " (count " << count
                 << " > min weight " << min_w << ") missing";
+        }
     }
     // Weight conservation across arbitrary churn.
     EXPECT_EQ(sk.totalWeight(), 200000u);
