@@ -266,20 +266,7 @@ class ObsSession
         if (run == nullptr || mon->snapshots().empty())
             return;
         run->regionsDev = mon->dev();
-        for (const accmon::RegionSnapshot& snap : mon->snapshots()) {
-            obs::RegionSampleData out;
-            out.timeMs = snap.timeMs;
-            out.rows.reserve(snap.rows.size());
-            for (const accmon::RegionRow& row : snap.rows) {
-                obs::RegionRowData r;
-                r.lo = row.lo;
-                r.hi = row.hi;
-                r.rateGbps = row.rateGbps;
-                r.age = row.age;
-                out.rows.push_back(r);
-            }
-            run->regionSamples.push_back(std::move(out));
-        }
+        run->regionSamples = mon->snapshots();
     }
 
     /** End the current run: the sampler dies (its task is scheduled on

@@ -7,13 +7,9 @@
 namespace octo::accmon {
 
 AccessMonitor::AccessMonitor(sim::Simulator& sim, obs::Hub* hub,
-                             std::string dev, MonitorConfig cfg)
-    : sim_(sim), hub_(hub), dev_(std::move(dev)), cfg_(cfg),
-      set_(cfg.regions)
+                             std::string dev)
+    : sim_(sim), hub_(hub), dev_(std::move(dev))
 {
-    scale_ = cfg_.sampleEvery < 1
-                 ? 1
-                 : static_cast<std::uint64_t>(cfg_.sampleEvery);
     // Calibrate the cycle counter: ns-per-cycle over a short bracketed
     // spin, then the average cost of one back-to-back counter pair
     // (pure measurement overhead — there is no work between the reads,
@@ -69,16 +65,16 @@ AccessMonitor::~AccessMonitor() { stop(); }
 void
 AccessMonitor::start()
 {
-    if (hub_ != nullptr && cfg_.traceLanes > 0) {
+    if (hub_ != nullptr) {
         tracePid_ = hub_->pidFor("accmon");
-        laneNames_.reserve(static_cast<std::size_t>(cfg_.traceLanes));
-        for (int i = 0; i < cfg_.traceLanes; ++i) {
+        laneNames_.reserve(kTraceLanes);
+        for (int i = 0; i < kTraceLanes; ++i) {
             laneNames_.push_back("accmon_region_gbps[" +
                                  std::to_string(i) + "]");
         }
     }
     sim_.release(tick_);
-    tick_ = sim_.schedulePeriodic(cfg_.aggregation, cfg_.aggregation,
+    tick_ = sim_.schedulePeriodic(kAggregation, kAggregation,
                                   [this] { tick(); });
 }
 
@@ -91,10 +87,6 @@ AccessMonitor::stop()
 void
 AccessMonitor::tick()
 {
-    // Land any buffered records first: schemes and the interval close
-    // must see every record up to this instant (flush times itself).
-    flush();
-
     // The whole tick is off the simulated datapath (a periodic event
     // that mutates only monitor state), so it is timed exactly.
     const std::uint64_t t0 = nowNs();
@@ -102,45 +94,31 @@ AccessMonitor::tick()
     // Schemes see the *open* interval: live byte counts and candidate
     // elections, plus the age/rate the previous close computed.
     if (engine_ != nullptr)
-        engine_->onInterval(set_, cfg_.aggregation);
+        engine_->onInterval(set_, kAggregation);
 
-    set_.closeInterval(cfg_.aggregation);
+    set_.closeInterval(kAggregation);
 
-    if (cfg_.captureSnapshots) {
-        if (snapshots_.size() <
-            static_cast<std::size_t>(cfg_.snapshotCap)) {
-            RegionSnapshot snap;
-            snap.timeMs = sim::toMs(sim_.now());
-            snap.rows.reserve(set_.regions().size());
-            for (const Region& r : set_.regions()) {
-                RegionRow row;
-                row.lo = r.lo;
-                row.hi = r.hi;
-                row.rateGbps = r.rateBps * 8.0 / 1e9;
-                row.age = r.age;
-                snap.rows.push_back(row);
-            }
-            snapshots_.push_back(std::move(snap));
-        } else {
-            ++snapshotsDropped_;
-        }
+    if (snapshots_.size() < kSnapshotCap) {
+        obs::RegionSampleData& snap = snapshots_.emplace_back();
+        snap.timeMs = sim::toMs(sim_.now());
+        snap.rows.reserve(set_.regions().size());
+        for (const Region& r : set_.regions())
+            snap.rows.push_back({r.lo, r.hi, r.rateBps * 8.0 / 1e9, r.age});
+    } else {
+        ++snapshotsDropped_;
     }
 
     // Live heatmap: one Perfetto counter lane per region slot (slot i
     // = i-th region in hash order; splits/merges re-map slots, which
     // the lane view tolerates — the report snapshots carry the exact
     // ranges).
-    if (hub_ != nullptr && !laneNames_.empty()) {
-        if (hub_->tracer().wants(obs::kCatCounter)) {
-            obs::Tracer& tr = hub_->tracer();
-            const auto& rs = set_.regions();
-            const std::size_t lanes =
-                std::min(laneNames_.size(), rs.size());
-            for (std::size_t i = 0; i < lanes; ++i) {
-                tr.counter(obs::kCatCounter, laneNames_[i].c_str(),
-                           tracePid_, sim_.now(),
-                           rs[i].rateBps * 8.0 / 1e9);
-            }
+    if (hub_ != nullptr && hub_->tracer().wants(obs::kCatCounter)) {
+        obs::Tracer& tr = hub_->tracer();
+        const auto& rs = set_.regions();
+        const std::size_t lanes = std::min(laneNames_.size(), rs.size());
+        for (std::size_t i = 0; i < lanes; ++i) {
+            tr.counter(obs::kCatCounter, laneNames_[i].c_str(), tracePid_,
+                       sim_.now(), rs[i].rateBps * 8.0 / 1e9);
         }
     }
 

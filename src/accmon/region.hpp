@@ -14,12 +14,12 @@
  *
  *  - derives each region's byte rate for the closed window,
  *  - **splits** regions whose share of the interval's traffic exceeds
- *    splitFactor/targetRegions (midpoint split, deterministic), and
+ *    kSplitFactor/kTargetRegions (midpoint split, deterministic), and
  *  - **merges** adjacent regions whose combined share falls below
- *    mergeFactor/targetRegions,
+ *    kMergeFactor/kTargetRegions,
  *
- * keeping the region count inside [minRegions, maxRegions] and state +
- * per-interval work bounded by maxRegions regardless of flow count.
+ * keeping the region count inside [kMinRegions, kMaxRegions] and state
+ * + per-interval work bounded by kMaxRegions regardless of flow count.
  * Lifetime byte totals (`cumBytes`) are conserved exactly across every
  * split (128-bit proportional division) and merge, which the tests pin.
  *
@@ -79,31 +79,27 @@ struct Region
     }
 };
 
-/** Split/merge tunables; defaults follow DAMON's shape (min/target/max
- *  region counts bounding both state and per-interval work). */
-struct RegionConfig
-{
-    int minRegions = 8;
-    int targetRegions = 64;
-    int maxRegions = 128;
-
-    /** Split when region share > splitFactor / targetRegions. */
-    double splitFactor = 2.0;
-
-    /** Merge adjacent pair when combined share < mergeFactor /
-     *  targetRegions. */
-    double mergeFactor = 0.5;
-};
-
 /** The adaptive partition of one device plane's flow-hash space. */
 class RegionSet
 {
   public:
-    explicit RegionSet(RegionConfig cfg = {}) : cfg_(cfg)
+    // Split/merge bounds in DAMON's shape: min/target/max region counts
+    // bound both state and per-interval work.
+    static constexpr int kMinRegions = 8;
+    static constexpr int kTargetRegions = 64;
+    static constexpr int kMaxRegions = 128;
+    static_assert(1 <= kMinRegions && kMinRegions <= kTargetRegions &&
+                  kTargetRegions <= kMaxRegions);
+
+    /** Split when region share > kSplitFactor / kTargetRegions. */
+    static constexpr double kSplitFactor = 2.0;
+
+    /** Merge adjacent pair when combined share < kMergeFactor /
+     *  kTargetRegions. */
+    static constexpr double kMergeFactor = 0.5;
+
+    RegionSet()
     {
-        assert(cfg_.minRegions >= 1);
-        assert(cfg_.targetRegions >= cfg_.minRegions);
-        assert(cfg_.maxRegions >= cfg_.targetRegions);
         Region whole;
         whole.lo = 0;
         whole.hi = UINT64_MAX;
@@ -111,13 +107,12 @@ class RegionSet
         rebuildLos();
     }
 
-    const RegionConfig& config() const { return cfg_; }
     const std::vector<Region>& regions() const { return regions_; }
     int regionCount() const { return static_cast<int>(regions_.size()); }
 
     /** Index of the region containing @p key. The search runs over the
      *  packed lo-bounds mirror (`los_`), not the fat Region structs:
-     *  at maxRegions=128 that is two cache lines' worth of keys, so
+     *  at kMaxRegions = 128 that is two cache lines' worth of keys, so
      *  the datapath-rate lookups stay L1-resident. */
     int
     find(std::uint64_t key) const
@@ -137,35 +132,8 @@ class RegionSet
     record(std::uint64_t key, std::uint64_t bytes,
            const nic::FiveTuple& flow, int qid, bool track_candidate)
     {
-        recordAt(find(key), key, bytes, flow, qid, track_candidate);
-    }
-
-    /** Issue a prefetch for @p key's region and return its index —
-     *  the batched datapath resolves/prefetches a whole buffer first,
-     *  then applies via recordAt() against warm lines. */
-    int
-    prefetch(std::uint64_t key) const
-    {
-        const int idx = find(key);
-        // Write-intent, both lines: recordAt() stores span the whole
-        // ~two-line Region, and a read prefetch would still stall on
-        // the ownership upgrade at the first store.
-        const char* p = reinterpret_cast<const char*>(
-            &regions_[static_cast<std::size_t>(idx)]);
-        __builtin_prefetch(p, 1);
-        __builtin_prefetch(p + 64, 1);
-        return idx;
-    }
-
-    /** record() with the region index already resolved (see
-     *  prefetch()); @p idx must come from find(key) this interval. */
-    void
-    recordAt(int idx, std::uint64_t key, std::uint64_t bytes,
-             const nic::FiveTuple& flow, int qid, bool track_candidate)
-    {
-        Region& r = regions_[static_cast<std::size_t>(idx)];
+        Region& r = regions_[static_cast<std::size_t>(find(key))];
         assert(r.contains(key));
-        (void)key;
         r.bytes += bytes;
         ++r.ops;
         r.cumBytes += bytes;
@@ -191,7 +159,7 @@ class RegionSet
     /**
      * Close the aggregation interval of length @p interval ticks:
      * compute rates, split hot / merge cold, then reset the interval
-     * counters and candidate elections. Work is O(maxRegions).
+     * counters and candidate elections. Work is O(kMaxRegions).
      */
     void
     closeInterval(sim::Tick interval)
@@ -245,25 +213,20 @@ class RegionSet
     {
         if (total == 0)
             return;
-        // share > splitFactor / target  <=>  bytes * target > f * total.
-        const double thresh =
-            cfg_.splitFactor * static_cast<double>(total);
+        // share > kSplitFactor / target  <=>  bytes * target > f * total.
+        const double thresh = kSplitFactor * static_cast<double>(total);
         std::vector<Region>& next = scratch_;
         next.clear();
         next.reserve(regions_.size() + 8);
         for (std::size_t i = 0; i < regions_.size(); ++i) {
             Region& r = regions_[i];
             const bool hot =
-                static_cast<double>(r.bytes) *
-                    static_cast<double>(cfg_.targetRegions) >
-                thresh;
+                static_cast<double>(r.bytes) * kTargetRegions > thresh;
             // Count if this split happens: emitted so far + the rest
             // of the input + the extra half.
             const std::size_t projected =
                 next.size() + (regions_.size() - i) + 1;
-            if (!hot || r.width() == 0 ||
-                projected >
-                    static_cast<std::size_t>(cfg_.maxRegions)) {
+            if (!hot || r.width() == 0 || projected > kMaxRegions) {
                 next.push_back(r);
                 continue;
             }
@@ -315,8 +278,7 @@ class RegionSet
     void
     mergePass(std::uint64_t total)
     {
-        const double thresh =
-            cfg_.mergeFactor * static_cast<double>(total);
+        const double thresh = kMergeFactor * static_cast<double>(total);
         std::vector<Region>& next = scratch_;
         next.clear();
         next.reserve(regions_.size());
@@ -327,13 +289,11 @@ class RegionSet
             const int remaining = static_cast<int>(
                 next.size() + (regions_.size() - i));
             const bool cold =
-                total == 0
-                    ? remaining > cfg_.targetRegions
-                    : static_cast<double>(prev.bytes + cur.bytes) *
-                              static_cast<double>(
-                                  cfg_.targetRegions) <
-                          thresh;
-            if (!cold || remaining <= cfg_.minRegions) {
+                total == 0 ? remaining > kTargetRegions
+                           : static_cast<double>(prev.bytes + cur.bytes) *
+                                     kTargetRegions <
+                                 thresh;
+            if (!cold || remaining <= kMinRegions) {
                 next.push_back(cur);
                 continue;
             }
@@ -358,7 +318,6 @@ class RegionSet
         regions_.swap(next); // next is scratch_: reused, never freed.
     }
 
-    RegionConfig cfg_;
     std::vector<Region> regions_;
     std::vector<Region> scratch_; ///< Split/merge build space, reused
                                   ///< across intervals (no per-tick

@@ -19,11 +19,10 @@ actionName(Action a)
 }
 
 std::vector<SchemeConfig>
-defaultSchemes(int placement_cap)
+defaultSchemes()
 {
     SchemeConfig promote;
     promote.action = Action::PromoteLocal;
-    promote.maxPlacements = placement_cap;
 
     SchemeConfig demote;
     demote.action = Action::DemoteIdle;
@@ -31,7 +30,6 @@ defaultSchemes(int placement_cap)
 
     SchemeConfig cap;
     cap.action = Action::Cap;
-    cap.maxPlacements = placement_cap;
     cap.quota = 16;
 
     return {promote, demote, cap};
@@ -71,15 +69,11 @@ SchemeEngine::onInterval(RegionSet& rs, sim::Tick interval)
     // churn would fight the recovery — the engine stands down wholly.
     if (standoff_ && standoff_()) {
         ++standoffs_;
-        for (HotSlot& s : slots_)
-            s.bytes = 0;
+        for (auto& [key, p] : placed_)
+            p.bytes = 0;
         return;
     }
     ++intervalsApplied_;
-
-    // The datapath accumulated this interval's placed-flow bytes in
-    // the probe table; land them where the schemes read them.
-    foldSlotBytes();
 
     // Refresh the DMA-local target set each interval: health-driven
     // rebinds can change which queues are local right now.
@@ -110,43 +104,10 @@ SchemeEngine::onInterval(RegionSet& rs, sim::Tick interval)
         }
     }
 
-    // The interval's exact per-placement byte counts fed every scheme
-    // above; reset them — and re-index whatever the schemes just
-    // placed or evicted — for the next interval.
+    // The interval's per-placement byte counts fed every scheme above;
+    // reset them for the next interval.
     for (auto& [key, p] : placed_)
         p.bytes = 0;
-    rebuildSlots();
-}
-
-void
-SchemeEngine::foldSlotBytes()
-{
-    for (const HotSlot& s : slots_) {
-        if (s.p != nullptr)
-            s.p->bytes = s.bytes;
-    }
-}
-
-void
-SchemeEngine::rebuildSlots()
-{
-    if (placed_.empty()) {
-        slots_.clear();
-        slotMask_ = 0;
-        return;
-    }
-    std::size_t cap = 16;
-    while (cap < placed_.size() * 2)
-        cap <<= 1;
-    slots_.assign(cap, HotSlot{});
-    slotMask_ = cap - 1;
-    for (auto& [key, p] : placed_) {
-        std::size_t i = static_cast<std::size_t>(key) & slotMask_;
-        while (slots_[i].p != nullptr)
-            i = (i + 1) & slotMask_;
-        slots_[i].key = key;
-        slots_[i].p = &p;
-    }
 }
 
 void

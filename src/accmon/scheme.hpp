@@ -78,7 +78,7 @@ struct SchemeConfig
     /** Evaluation window, in aggregation intervals: idleness is judged
      *  on the byte rate averaged over this many intervals, not on
      *  per-interval zero-crossings — under sampled attribution (see
-     *  MonitorConfig::sampleEvery) an active mid-rate flow routinely
+     *  AccessMonitor::kSampleEvery) an active mid-rate flow routinely
      *  shows zero *sampled* bytes in any single interval, and a
      *  consecutive-quiet rule would churn such flows off their local
      *  queues while they still carry traffic. */
@@ -92,17 +92,18 @@ struct SchemeConfig
     int quota = 64;
 };
 
-/** The promote/demote/cap trio the testbed and benches attach by
- *  default. */
-std::vector<SchemeConfig> defaultSchemes(int placement_cap = 1024);
+/** The promote/demote/cap trio the testbed attaches: a placement cap
+ *  of 1024 (SchemeConfig's default) for promote and cap, a quota of 16
+ *  for demote and cap. */
+std::vector<SchemeConfig> defaultSchemes();
 
 /**
  * Applies a scheme list against one steerable plane. The owning
  * AccessMonitor calls onInterval() right before it closes each
  * aggregation interval (so the open interval's byte counts and
- * candidate elections are still live) and routes every datapath record
- * through notePlacedTraffic() so placed flows are tracked exactly and
- * excluded from further candidate elections.
+ * candidate elections are still live) and routes every sampled
+ * datapath record through notePlacedTraffic() so placed flows are
+ * tracked and excluded from further candidate elections.
  */
 class SchemeEngine
 {
@@ -126,46 +127,21 @@ class SchemeEngine
     void onInterval(RegionSet& rs, sim::Tick interval);
 
     /**
-     * Datapath fast path, called per record by the monitor: when
-     * @p key is a placed flow, its exact per-interval bytes are
-     * tracked here (feeding DemoteIdle/Cap) and the caller must keep
-     * it *out* of the region's candidate election so regions surface
-     * their next hottest flow instead.
-     *
-     * The lookup probes a flat open-addressed table (rebuilt whenever
-     * the placement set changes — interval-rate, quota-bounded) rather
-     * than the placed_ map: the keys are already avalanche-mixed flow
-     * hashes, so one masked index + linear probe usually resolves in a
-     * single cache line at datapath rate.
+     * Datapath fast path, called per sampled record by the monitor:
+     * when @p key is a placed flow, its bytes this interval are tracked
+     * here (feeding DemoteIdle/Cap) and the caller must keep it *out*
+     * of the region's candidate election so regions surface their next
+     * hottest flow instead.
      * @return true when the key is placed.
      */
     bool
     notePlacedTraffic(std::uint64_t key, std::uint64_t bytes)
     {
-        if (slots_.empty())
+        const auto it = placed_.find(key);
+        if (it == placed_.end())
             return false;
-        std::size_t i = static_cast<std::size_t>(key) & slotMask_;
-        for (;;) {
-            HotSlot& s = slots_[i];
-            if (s.p == nullptr)
-                return false;
-            if (s.key == key) {
-                s.bytes += bytes;
-                return true;
-            }
-            i = (i + 1) & slotMask_;
-        }
-    }
-
-    /** Warm @p key's probe line ahead of notePlacedTraffic() (the
-     *  batched datapath's prefetch pass). */
-    void
-    prefetchPlaced(std::uint64_t key) const
-    {
-        if (!slots_.empty()) {
-            __builtin_prefetch(
-                &slots_[static_cast<std::size_t>(key) & slotMask_], 1);
-        }
+        it->second.bytes += bytes;
+        return true;
     }
 
     // ------------------------------------------------------ statistics
@@ -205,32 +181,12 @@ class SchemeEngine
     void applyCap(std::size_t si);
     void demote(std::uint64_t key);
 
-    /** Copy the interval's slot-accumulated bytes into placed_ (the
-     *  schemes read Placement::bytes). */
-    void foldSlotBytes();
-
-    /** Recompute the probe table from placed_ with zeroed byte
-     *  accumulators — the start of a new interval's accounting. */
-    void rebuildSlots();
-
     steer::SteerablePlane& plane_;
     std::vector<SchemeConfig> schemes_;
     std::string dev_;
     std::function<bool()> standoff_;
 
-    /** Open-addressed datapath index: key -> this interval's bytes,
-     *  plus the owning placement (stable — unordered_map nodes don't
-     *  move), so the interval fold is one pointer store per slot. */
-    struct HotSlot
-    {
-        std::uint64_t key = 0;
-        std::uint64_t bytes = 0;
-        Placement* p = nullptr; ///< nullptr == empty slot.
-    };
-
     std::unordered_map<std::uint64_t, Placement> placed_;
-    std::vector<HotSlot> slots_; ///< Power-of-two, >= 2x placed_.
-    std::size_t slotMask_ = 0;
     std::vector<int> locals_; ///< DMA-local queue targets, refreshed
                               ///< each interval (health may move PFs).
     std::size_t rr_ = 0;      ///< Round-robin cursor over locals_.

@@ -19,9 +19,7 @@ constexpr int kE2eTid = 999;
 // ------------------------------------------------------------- PollPort
 
 PollPort::PollPort(PollPlane& plane, topo::Core& core, int qid)
-    : plane_(plane), qid_(qid), core_(core),
-      rxFrames_(core.sim()), rxBytes_(core.sim()),
-      txFrames_(core.sim()), txBytes_(core.sim())
+    : plane_(plane), qid_(qid), core_(core)
 {
 }
 

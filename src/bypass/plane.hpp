@@ -39,7 +39,6 @@
 #include "nic/device.hpp"
 #include "nic/queue_plane.hpp"
 #include "obs/dma.hpp"
-#include "obs/sharded.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "topo/machine.hpp"
@@ -146,12 +145,10 @@ class PollPort
     std::uint64_t pendingRefill_ = 0;
     std::uint64_t polls_ = 0;
     std::uint64_t emptyPolls_ = 0;
-    // Burst-hot frame/byte counters shard per domain node
-    // (obs::ShardedCounter); readers fold the exact total.
-    obs::ShardedCounter rxFrames_;
-    obs::ShardedCounter rxBytes_;
-    obs::ShardedCounter txFrames_;
-    obs::ShardedCounter txBytes_;
+    obs::Tally rxFrames_;
+    obs::Tally rxBytes_;
+    obs::Tally txFrames_;
+    obs::Tally txBytes_;
     std::uint64_t txReaped_ = 0;
 };
 

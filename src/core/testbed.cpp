@@ -22,15 +22,6 @@ modeName(ServerMode m)
     return "?";
 }
 
-std::string
-Testbed::presetName() const
-{
-    std::string name = modeName(cfg_.mode);
-    if (cfg_.bypass)
-        name += "-poll";
-    return name;
-}
-
 Testbed::Testbed(const TestbedConfig& cfg) : cfg_(cfg)
 {
     // The polled presets mirror only the single-netdev modes; the
@@ -116,13 +107,11 @@ Testbed::Testbed(const TestbedConfig& cfg) : cfg_(cfg)
     // monitor so the standoff predicate can consult its verdicts.
     if (cfg_.accessMonitor) {
         accmon_ = std::make_unique<accmon::AccessMonitor>(
-            sim_, cfg_.hub, serverNic_->name(), cfg_.accmonCfg);
+            sim_, cfg_.hub, serverNic_->name());
         if (cfg_.accmonSchemes) {
             schemeEngine_ = std::make_unique<accmon::SchemeEngine>(
-                serverPlane(),
-                cfg_.schemes.empty() ? accmon::defaultSchemes()
-                                     : cfg_.schemes,
-                cfg_.hub, serverNic_->name());
+                serverPlane(), accmon::defaultSchemes(), cfg_.hub,
+                serverNic_->name());
             if (health::HealthMonitor* hm = monitor_.get()) {
                 const int pfs = serverNic_->functionCount();
                 const int qs = serverNic_->queueCount();

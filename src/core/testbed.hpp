@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "accmon/monitor.hpp"
@@ -127,18 +126,12 @@ struct TestbedConfig
      *  preset, kernel or -poll. */
     bool accessMonitor = false;
 
-    /** Monitor tunables (aggregation interval, region bounds). */
-    accmon::MonitorConfig accmonCfg;
-
-    /** Also drive quota-bounded proactive schemes against the server
-     *  plane (requires accessMonitor): hot flows are promoted to
-     *  DMA-local queues, idle placements demoted, the table capped.
-     *  When a HealthMonitor is attached too, schemes stand down while
-     *  any PF is non-Healthy (reactive verdicts win the plane). */
+    /** Also drive accmon::defaultSchemes() against the server plane
+     *  (requires accessMonitor): hot flows are promoted to DMA-local
+     *  queues, idle placements demoted, the table capped. When a
+     *  HealthMonitor is attached too, schemes stand down while any PF
+     *  is non-Healthy (reactive verdicts win the plane). */
     bool accmonSchemes = false;
-
-    /** Scheme list; empty uses accmon::defaultSchemes(). */
-    std::vector<accmon::SchemeConfig> schemes;
 
     /** Observability hub (metrics + tracing). Attached to the simulator
      *  before any component is built, so every layer registers its
@@ -198,9 +191,6 @@ class Testbed
      *  bypass, else server stack 0. What the health monitor and the
      *  scheme engine steer through. */
     nic::QueuePlane& serverPlane();
-
-    /** Preset name for legends: modeName() plus "-poll" under bypass. */
-    std::string presetName() const;
 
     /** The fault injector; null when the config's plan is empty. */
     fault::Injector* injector() { return injector_.get(); }

@@ -33,7 +33,6 @@
 #include "nic/packet.hpp"
 #include "nic/wire.hpp"
 #include "obs/dma.hpp"
-#include "obs/sharded.hpp"
 #include "pcie/function.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -84,7 +83,7 @@ struct NicQueue
         : id(id_), irqCore(irq_core), pf(pf_), homePf(pf_),
           bufNode(irq_core->node()), rxCq(sim, ring_entries),
           txRing(sim, ring_entries), txCq(sim, 4 * ring_entries),
-          rxCredits(sim, ring_entries), rxFrames(sim), txFrames(sim)
+          rxCredits(sim, ring_entries)
     {
     }
 
@@ -110,8 +109,8 @@ struct NicQueue
                            ///< so each re-arm is a zero-setup schedule.
     bool polled = false; ///< Bypass mode: never raise interrupts; a
                          ///< busy-poll port harvests both CQs directly.
-    obs::ShardedCounter rxFrames; ///< Sharded per domain node; read via
-    obs::ShardedCounter txFrames; ///< total() (exact fold).
+    obs::Tally rxFrames;
+    obs::Tally txFrames;
     std::uint64_t rxReaped = 0; ///< Completions processed by softirq.
 };
 

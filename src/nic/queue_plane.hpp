@@ -76,12 +76,6 @@ class QueuePlane : public steer::SteerablePlane
 
     void unplaceFlow(const FiveTuple& flow) override;
 
-    int
-    flowQueue(const FiveTuple& flow) const override
-    {
-        return device_.classify(flow);
-    }
-
     bool queueDmaLocal(int qid) const override;
 
     /**

@@ -56,6 +56,21 @@ class Counter
     std::function<std::uint64_t()> fn_;
 };
 
+/**
+ * A model's own hot-path count: one cell, add() to bump it and total()
+ * to read it. It is not a registry instrument; the owner exports it as
+ * a callback counter reading total().
+ */
+class Tally
+{
+  public:
+    void add(std::uint64_t d = 1) { v_ += d; }
+    std::uint64_t total() const { return v_; }
+
+  private:
+    std::uint64_t v_ = 0;
+};
+
 /** Point-in-time value; callback-backed when registered via gaugeFn. */
 class Gauge
 {

@@ -129,8 +129,7 @@ Report::jsonText() const
                     out += ",\"rate_gbps\":";
                     appendDouble(out, row.rateGbps);
                     out += ",\"age\":";
-                    appendU64(out, static_cast<std::uint64_t>(
-                                       row.age < 0 ? 0 : row.age));
+                    appendU64(out, row.age);
                     out += '}';
                 }
                 out += "]}";

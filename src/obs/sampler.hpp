@@ -61,10 +61,12 @@ struct RegionRowData
     std::uint64_t lo = 0; ///< Flow-hash range, inclusive.
     std::uint64_t hi = 0;
     double rateGbps = 0;
-    int age = 0; ///< Intervals since last split/merge touched it.
+    std::uint32_t age = 0; ///< Intervals since last split/merge.
 };
 
-/** One access-monitor aggregation interval: the region map snapshot. */
+/** One access-monitor aggregation interval: the region map snapshot.
+ *  accmon::AccessMonitor stores its snapshots in this type, so a bench
+ *  hands them to the report as they are. */
 struct RegionSampleData
 {
     double timeMs = 0;

@@ -242,10 +242,8 @@ class NetStack : public nic::NicSink, public nic::QueuePlane
     std::unordered_map<nic::FiveTuple, Socket*> demux_;
     std::vector<std::unique_ptr<Socket>> sockets_;
 
-    // Softirq-hot counters shard per domain node (obs::ShardedCounter);
-    // readers fold the exact total.
-    obs::ShardedCounter rxPackets_{sim_};
-    obs::ShardedCounter rxBytesDelivered_{sim_};
+    obs::Tally rxPackets_;
+    obs::Tally rxBytesDelivered_;
     std::uint64_t steeringUpdates_ = 0;
     std::uint64_t steeringExpiries_ = 0;
     sim::Task<> expiry_;

@@ -16,7 +16,6 @@
 
 #include "mem/cache.hpp"
 #include "obs/hub.hpp"
-#include "obs/sharded.hpp"
 #include "sim/pipe.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -336,13 +335,16 @@ class PciFunction
         const obs::Labels l = {
             {"dev", dev}, {"pf", pf}, {"node", std::to_string(node_)}};
         obs::MetricRegistry& reg = h->metrics();
-        // The hot locality counters are sharded per scheduling-domain
-        // node; the registry rows read the exact aggregated total.
-        obLocal_.mirror(reg, "dma_local_bytes", l);
-        obRemote_.mirror(reg, "dma_remote_bytes", l);
-        obCross_.mirror(reg, "interconnect_crossings", l);
-        obDdioHit_.mirror(reg, "ddio_hits", l);
-        obDdioMiss_.mirror(reg, "ddio_misses", l);
+        reg.counterFn("dma_local_bytes", l,
+                      [this] { return obLocal_.total(); });
+        reg.counterFn("dma_remote_bytes", l,
+                      [this] { return obRemote_.total(); });
+        reg.counterFn("interconnect_crossings", l,
+                      [this] { return obCross_.total(); });
+        reg.counterFn("ddio_hits", l,
+                      [this] { return obDdioHit_.total(); });
+        reg.counterFn("ddio_misses", l,
+                      [this] { return obDdioMiss_.total(); });
         obsOn_ = true;
         reg.counterFn("pcie_to_host_bytes", l,
                       [this] { return toHost_.totalBytes(); });
@@ -414,15 +416,13 @@ class PciFunction
                       (static_cast<std::uint64_t>(id_) << 8) ^
                       static_cast<std::uint64_t>(node_)};
 
-    // Locality/DDIO counters shard per domain node (obs::ShardedCounter)
-    // so the per-DMA hot path writes only a node-private leaf; the
-    // mirrored registry rows fold the exact total at export time.
+    // Locality/DDIO counts, kept only while a hub is attached.
     bool obsOn_ = false;
-    obs::ShardedCounter obLocal_{host_.sim()};
-    obs::ShardedCounter obRemote_{host_.sim()};
-    obs::ShardedCounter obCross_{host_.sim()};
-    obs::ShardedCounter obDdioHit_{host_.sim()};
-    obs::ShardedCounter obDdioMiss_{host_.sim()};
+    obs::Tally obLocal_;
+    obs::Tally obRemote_;
+    obs::Tally obCross_;
+    obs::Tally obDdioHit_;
+    obs::Tally obDdioMiss_;
     int tracePid_ = 0;
     int traceTid_ = 0;
 };

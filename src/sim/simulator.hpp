@@ -296,10 +296,6 @@ class Simulator
         return id < domainCount_.size() ? domainCount_[id] : 0;
     }
 
-    /** Domain of the event being dispatched (inherited by events it
-     *  schedules), or the untagged domain outside dispatch. */
-    Domain currentDomain() const { return domains_[currentDomain_]; }
-
     /** Sequential small device id for Domain::device assignment. */
     int allocDeviceId() { return nextDeviceId_++; }
 

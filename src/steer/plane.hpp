@@ -160,15 +160,6 @@ class SteerablePlane
     /** Remove a placeFlow() rule; the flow falls back to RSS. */
     virtual void unplaceFlow(const nic::FiveTuple& flow) { (void)flow; }
 
-    /** Queue @p flow's frames are classified to right now (-1 when
-     *  unknown). */
-    virtual int
-    flowQueue(const nic::FiveTuple& flow) const
-    {
-        (void)flow;
-        return -1;
-    }
-
     /** True when queue @p qid's DMA currently lands on the same NUMA
      *  node its buffers live on (the promote-target predicate). */
     virtual bool

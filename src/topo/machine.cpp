@@ -123,13 +123,6 @@ Machine::setQpiScale(double scale)
     ++qpiDegradeEvents_;
 }
 
-void
-Machine::degradeQpiLink(int from, int to, double scale)
-{
-    qpi(from, to).setRateGbps(cal_.qpiGbps * std::max(0.01, scale));
-    ++qpiDegradeEvents_;
-}
-
 std::uint64_t
 Machine::dramBytesTotal() const
 {

@@ -169,9 +169,6 @@ class Machine
      */
     void setQpiScale(double scale);
 
-    /** Scale one directed link only. */
-    void degradeQpiLink(int from, int to, double scale);
-
     double qpiScale() const { return qpiScale_; }
     std::uint64_t qpiDegradeEvents() const { return qpiDegradeEvents_; }
 

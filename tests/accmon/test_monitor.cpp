@@ -24,7 +24,7 @@
 namespace octo::accmon {
 namespace {
 
-constexpr sim::Tick kInterval = sim::fromUs(1000);
+constexpr sim::Tick kInterval = AccessMonitor::kAggregation;
 
 nic::FiveTuple
 flowFor(std::uint64_t i)
@@ -253,9 +253,7 @@ TEST(AccessMonitor, AggregatesAndSnapshotsOnSchedule)
     sim::Simulator sim;
     obs::Hub hub;
     sim.setHub(&hub);
-    MonitorConfig cfg;
-    cfg.aggregation = kInterval;
-    AccessMonitor mon(sim, &hub, "nic0", cfg);
+    AccessMonitor mon(sim, &hub, "nic0");
     mon.start();
 
     sim::Rng rng(9);
@@ -270,7 +268,7 @@ TEST(AccessMonitor, AggregatesAndSnapshotsOnSchedule)
     EXPECT_EQ(mon.recordsSeen(), 2500u);
     EXPECT_EQ(mon.snapshots().size(), 5u);
     EXPECT_GT(mon.overheadNs(), 0u) << "self-cost must be measured";
-    for (const RegionSnapshot& s : mon.snapshots())
+    for (const obs::RegionSampleData& s : mon.snapshots())
         EXPECT_FALSE(s.rows.empty());
 
     // Instruments live in the registry under the device label.
@@ -289,44 +287,36 @@ TEST(AccessMonitor, AggregatesAndSnapshotsOnSchedule)
 
 TEST(AccessMonitor, SamplingScalesAttributedBytes)
 {
-    // DAMON-style sampling: only every Nth record is attributed, with
-    // bytes scaled by N — so for a uniform-size record stream whose
-    // length divides N, the scaled lifetime total is *exactly* the
-    // stream's byte total, and sampleEvery=1 degenerates to per-record
-    // exact attribution.
-    for (const int every : {1, 4}) {
-        sim::Simulator sim;
-        MonitorConfig cfg;
-        cfg.aggregation = kInterval;
-        cfg.sampleEvery = every;
-        AccessMonitor mon(sim, nullptr, "nic0", cfg);
-        mon.start();
-        sim::Rng rng(11);
-        for (int i = 0; i < 400; ++i)
-            mon.record(flowFor(rng.below(32)), 1500, 2);
-        sim.runUntil(sim.now() + kInterval);
-        mon.stop();
-        EXPECT_EQ(mon.recordsSeen(), 400u)
-            << "every record is counted regardless of sampling";
-        EXPECT_EQ(mon.regions().totalCumBytes(), 400u * 1500u)
-            << "sampleEvery=" << every;
-    }
+    // DAMON-style sampling: only every 16th record is attributed, with
+    // bytes scaled by 16 — so for a uniform-size record stream whose
+    // length divides 16, the scaled lifetime total is *exactly* the
+    // stream's byte total.
+    static_assert(AccessMonitor::kSampleEvery == 16);
+    sim::Simulator sim;
+    AccessMonitor mon(sim, nullptr, "nic0");
+    mon.start();
+    sim::Rng rng(11);
+    for (int i = 0; i < 400; ++i)
+        mon.record(flowFor(rng.below(32)), 1500, 2);
+    sim.runUntil(sim.now() + kInterval);
+    mon.stop();
+    EXPECT_EQ(mon.recordsSeen(), 400u)
+        << "every record is counted regardless of sampling";
+    EXPECT_EQ(mon.regions().totalCumBytes(), 400u * 1500u);
 }
 
 TEST(AccessMonitor, SnapshotCapDropsInsteadOfGrowing)
 {
     sim::Simulator sim;
-    MonitorConfig cfg;
-    cfg.aggregation = kInterval;
-    cfg.snapshotCap = 3;
-    AccessMonitor mon(sim, nullptr, "nic0", cfg);
+    AccessMonitor mon(sim, nullptr, "nic0");
     mon.start();
-    for (int t = 0; t < 10; ++t) {
+    const std::size_t runs = AccessMonitor::kSnapshotCap + 8;
+    for (std::size_t t = 0; t < runs; ++t) {
         mon.record(flowFor(1), 1500, 0);
         sim.runUntil(sim.now() + kInterval);
     }
-    EXPECT_EQ(mon.snapshots().size(), 3u);
-    EXPECT_EQ(mon.intervals(), 10u);
+    EXPECT_EQ(mon.snapshots().size(), AccessMonitor::kSnapshotCap);
+    EXPECT_EQ(mon.intervals(), runs);
 }
 
 /** 2 ms Rx stream on the Remote preset; returns delivered bytes. */

@@ -76,11 +76,7 @@ TEST(RegionSet, StartsAsOneWholeSpaceRegion)
 
 TEST(RegionSet, PartitionStaysSortedAndGapFree)
 {
-    RegionConfig cfg;
-    cfg.minRegions = 4;
-    cfg.targetRegions = 16;
-    cfg.maxRegions = 32;
-    RegionSet rs(cfg);
+    RegionSet rs;
     sim::Rng rng(42);
     for (int t = 0; t < 50; ++t) {
         feedSkewed(rs, rng, 2000);
@@ -131,21 +127,17 @@ TEST(RegionSet, SplitMergeIsDeterministicUnderSeededPattern)
 
 TEST(RegionSet, RegionCountConvergesIntoConfiguredBounds)
 {
-    RegionConfig cfg;
-    cfg.minRegions = 8;
-    cfg.targetRegions = 24;
-    cfg.maxRegions = 48;
-    RegionSet rs(cfg);
+    RegionSet rs;
     sim::Rng rng(3);
     for (int t = 0; t < 100; ++t) {
         feedSkewed(rs, rng, 4000);
         rs.closeInterval(kInterval);
-        EXPECT_LE(rs.regionCount(), cfg.maxRegions);
+        EXPECT_LE(rs.regionCount(), RegionSet::kMaxRegions);
     }
     // After the warm-up the partition must have left the single-region
     // state and sit inside [min, max] for good.
-    EXPECT_GE(rs.regionCount(), cfg.minRegions);
-    EXPECT_LE(rs.regionCount(), cfg.maxRegions);
+    EXPECT_GE(rs.regionCount(), RegionSet::kMinRegions);
+    EXPECT_LE(rs.regionCount(), RegionSet::kMaxRegions);
 }
 
 TEST(RegionSet, CumBytesConservedAcrossSplitsAndMerges)
