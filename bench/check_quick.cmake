@@ -1,22 +1,26 @@
-# Runs the bench binary BENCH with --quick (plus the optional
-# space-separated BENCH_ARGS) in WORKDIR, then CHECK (run by PYTHON) on
-# the file OUTPUT the bench writes there. Either one failing fails the
-# test.
+# Empties WORKDIR and runs the bench binary BENCH there with --quick
+# (plus the optional space-separated BENCH_ARGS); then, when CHECK is
+# given, runs CHECK (by PYTHON) on the file OUTPUT the bench wrote
+# there. Either one failing fails the test. Without CHECK the script
+# is a fixture setup: later tests read what the bench wrote.
 #
 #   cmake -DBENCH=build/bench/bench_obs_scale -DPYTHON=python3 \
 #         -DCHECK=tools/check_obs_scale.py -DOUTPUT=obs_scale.csv \
 #         -DWORKDIR=/tmp/obs_scale -P check_quick.cmake
-#   cmake -DBENCH=build/bench/bench_zipf_steering -DPYTHON=python3 \
-#         -DCHECK=tools/check_zipf_steering.py \
-#         -DOUTPUT=zipf_steering.csv "-DBENCH_ARGS=--sample-us 1000" \
-#         -DWORKDIR=/tmp/zipf -P check_quick.cmake
+#   cmake -DBENCH=build/bench/bench_zipf_steering \
+#         "-DBENCH_ARGS=--sample-us 1000" -DWORKDIR=/tmp/zipf \
+#         -P check_quick.cmake
 separate_arguments(bench_args UNIX_COMMAND "${BENCH_ARGS}")
+file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 execute_process(COMMAND ${BENCH} --quick ${bench_args}
     WORKING_DIRECTORY ${WORKDIR}
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${BENCH} --quick ${BENCH_ARGS} exited ${rc}")
+endif()
+if(NOT CHECK)
+    return()
 endif()
 execute_process(COMMAND ${PYTHON} ${CHECK} ${OUTPUT}
     WORKING_DIRECTORY ${WORKDIR}

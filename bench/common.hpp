@@ -77,9 +77,9 @@ usageExit(const char* prog, const char* arg)
 /**
  * Parse a bench's command line: `--trace`, `--metrics`,
  * `--sample-us N` and `--quick`. Anything else prints the
- * usage line and exits 2. A trace implies the metric snapshot, and
- * sampling without an explicit `--trace` still records the counter
- * tracks into the trace file.
+ * usage line and exits 2. A trace or sampling implies the metric
+ * snapshot; sampling writes the counter tracks into the trace only
+ * when `--trace` is given too.
  */
 inline Flags
 parseFlags(int argc, char** argv)
@@ -104,10 +104,8 @@ parseFlags(int argc, char** argv)
             usageExit(argv[0], argv[i]);
         }
     }
-    if (f.obs.trace)
+    if (f.obs.trace || f.obs.samplePeriod > 0)
         f.obs.metrics = true;
-    if (f.obs.samplePeriod > 0)
-        f.obs.trace = f.obs.metrics = true;
     return f;
 }
 

@@ -11,9 +11,9 @@
  *   - sketch64 / sketch16: the bounded Space-Saving accountant at the
  *     production default K=64 and a small K=16
  *   - unbounded: K set far above the flow count, so admission always
- *     succeeds, the min-scan never runs and every flow keeps its own
- *     row: one sketch cell per flow, which the registry reads on
- *     demand like any other accountant's rows
+ *     succeeds, the eviction heap is never built and every flow keeps
+ *     its own row: one sketch cell per flow, which the registry reads
+ *     on demand like any other accountant's rows
  *
  * The stream is a churny skew: a hot set of kHotKeys flows carries
  * half the records (the heavy hitters the sketch must retain) while
@@ -59,6 +59,13 @@ using octo::obs::Labels;
 using octo::obs::MetricRegistry;
 
 constexpr std::uint64_t kHotKeys = 48;
+
+/** Flow label of key @p key. */
+std::string
+flowName(std::uint64_t key)
+{
+    return "f" + std::to_string(key);
+}
 
 /** Stream chunks per pass (dividing both record counts); each pass
  *  keeps its fastest chunk. A sketch is full and evicting after a few
@@ -134,8 +141,7 @@ class Pass
             }
             const std::uint64_t bytes = 64 + rng_.below(1460);
             const bool local = rng_.chance(0.7);
-            acc_.record(key, [key] { return "f" + std::to_string(key); },
-                        bytes, local, local);
+            acc_.record<flowName>(key, key, bytes, local, local);
             (local ? localRef_ : remoteRef_) += bytes;
         }
         const double per_record =

@@ -17,9 +17,12 @@
  *
  * Sweep: skew s in {0.9, 1.2} x {1k, 100k} flows x {reactive,
  * monitored} x {remote, remote-poll}. `--quick` trims to s=1.2/1k
- * flows (the CI smoke leg). Results land in
- * zipf_steering.csv; `--trace` adds the observability pass whose
- * report.json carries the v2 `regions` section (heatmap input).
+ * flows (the CI smoke leg). Results land in zipf_steering.csv. With
+ * an observability option on, the s=1.2/1k runs (the `--quick`
+ * subset) are attached to the hub as they run; with `--sample-us`,
+ * the report.json of the monitored ones carries the v2 `regions`
+ * section (heatmap input). Those runs' `ovh%` then divides the
+ * monitor's cost by the host time of a hub-attached run.
  */
 #include <algorithm>
 #include <chrono>
@@ -255,10 +258,12 @@ main(int argc, char** argv)
         const char* preset = bypass ? "remote-poll" : "remote";
         for (std::size_t s = skewLo; s < std::size(kSkews); ++s) {
             for (std::size_t f = 0; f < flowsHi; ++f) {
+                // The quick subset runs observed.
+                ObsSession* observed = s == 1 && f == 0 ? &obs : nullptr;
                 for (int mon = 0; mon <= 1; ++mon) {
                     const ZipfResult r = runZipf(
                         bypass != 0, kSkews[s], kFlowCounts[f],
-                        mon != 0);
+                        mon != 0, observed);
                     std::printf("%-12s %3.1f %7d   %-9s %7.1f %6.1f "
                                 "%6llu %5llu %8d %5.2f\n",
                                 preset, kSkews[s], kFlowCounts[f],
@@ -290,14 +295,6 @@ main(int argc, char** argv)
     if (csv != nullptr) {
         std::fclose(csv);
         std::printf("# wrote zipf_steering.csv\n");
-    }
-    if (obs) {
-        // Observability pass: the quick matrix, reactive + monitored,
-        // both presets — the monitored runs carry report v2 regions.
-        for (int bypass = 0; bypass <= 1; ++bypass)
-            for (int mon = 0; mon <= 1; ++mon)
-                runZipf(bypass != 0, kSkews[1], kFlowCounts[0],
-                        mon != 0, &obs);
     }
     obs.finish();
     return 0;

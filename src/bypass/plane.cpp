@@ -74,11 +74,9 @@ PollPort::rxBurst(RxPacket* out, int max)
         // payload residency the device's write left behind.
         for (int i = 0; i < n; ++i) {
             const nic::Frame& f = out[i].frame;
-            pl.flows_.record(
-                f.flow.hash(),
-                [&f] { return nic::NicDevice::flowLabel(f.flow); },
-                f.payloadBytes, q.pf->node() == out[i].node,
-                out[i].loc == DataLoc::Llc);
+            pl.flows_.record<nic::NicDevice::flowLabel>(
+                f.flow.hash(), f.flow, f.payloadBytes,
+                q.pf->node() == out[i].node, out[i].loc == DataLoc::Llc);
         }
     }
     if (pl.obRxBurst_ != nullptr)

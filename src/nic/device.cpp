@@ -196,17 +196,15 @@ NicDevice::rxPath(Frame f)
     // between the payload and CQE writes.
     c.dataLoc = co_await q.pf->dmaWrite(q.bufNode, f.payloadBytes);
     if (flows_.active()) {
-        flows_.record(f.flow.hash(),
-                      [&f] { return flowLabel(f.flow); },
-                      f.payloadBytes, q.pf->node() == q.bufNode,
-                      c.dataLoc == mem::DataLoc::Llc);
+        flows_.record<flowLabel>(f.flow.hash(), f.flow, f.payloadBytes,
+                                 q.pf->node() == q.bufNode,
+                                 c.dataLoc == mem::DataLoc::Llc);
     }
     c.cqeLoc = co_await q.pf->dmaWrite(q.bufNode, 64);
     if (flows_.active()) {
-        flows_.record(f.flow.hash(),
-                      [&f] { return flowLabel(f.flow); }, 64,
-                      q.pf->node() == q.bufNode,
-                      c.cqeLoc == mem::DataLoc::Llc);
+        flows_.record<flowLabel>(f.flow.hash(), f.flow, 64,
+                                 q.pf->node() == q.bufNode,
+                                 c.cqeLoc == mem::DataLoc::Llc);
     }
     q.rxFrames.add();
     q.rxCq.tryPush(c); // capacity == ring credits: cannot fail
@@ -320,10 +318,9 @@ NicDevice::txProcess(NicQueue& q, TxDesc d)
     co_await q.pf->dmaRead(d.skbNode, main_bytes + 64, d.loc);
     if (flows_.active()) {
         const bool local = q.pf->node() == d.skbNode;
-        flows_.record(d.flow.hash(),
-                      [&d] { return flowLabel(d.flow); },
-                      main_bytes + 64, local,
-                      d.loc == mem::DataLoc::Llc && local);
+        flows_.record<flowLabel>(d.flow.hash(), d.flow, main_bytes + 64,
+                                 local,
+                                 d.loc == mem::DataLoc::Llc && local);
     }
     if (d.spanBytes > 0) {
         // Cross-node fragment: with IOctoSG the driver's hint routes the
@@ -337,10 +334,9 @@ NicDevice::txProcess(NicQueue& q, TxDesc d)
         co_await frag_pf->dmaRead(d.spanNode, d.spanBytes, d.loc);
         if (flows_.active()) {
             const bool local = frag_pf->node() == d.spanNode;
-            flows_.record(d.flow.hash(),
-                          [&d] { return flowLabel(d.flow); },
-                          d.spanBytes, local,
-                          d.loc == mem::DataLoc::Llc && local);
+            flows_.record<flowLabel>(
+                d.flow.hash(), d.flow, d.spanBytes, local,
+                d.loc == mem::DataLoc::Llc && local);
         }
     }
 
@@ -380,10 +376,9 @@ NicDevice::txProcess(NicQueue& q, TxDesc d)
     tc.desc = d;
     tc.cqeLoc = co_await q.pf->dmaWrite(q.bufNode, 64);
     if (flows_.active()) {
-        flows_.record(d.flow.hash(),
-                      [&d] { return flowLabel(d.flow); }, 64,
-                      q.pf->node() == q.bufNode,
-                      tc.cqeLoc == mem::DataLoc::Llc);
+        flows_.record<flowLabel>(d.flow.hash(), d.flow, 64,
+                                 q.pf->node() == q.bufNode,
+                                 tc.cqeLoc == mem::DataLoc::Llc);
     }
     q.txCq.tryPush(tc);
     maybeRaiseTxIrq(q);

@@ -10,6 +10,17 @@ using sim::Tick;
 using steer::Endpoint;
 using steer::EndpointTelemetry;
 
+namespace {
+
+/** Flow label of submission queue @p id's attribution row. */
+std::string
+sqLabel(int id)
+{
+    return "sq" + std::to_string(id);
+}
+
+} // namespace
+
 NvmeDriver::NvmeDriver(NvmeDevice& dev)
     : dev_(dev), flows_(obs::hub(dev.host().sim()), dev.name())
 {
@@ -99,18 +110,15 @@ NvmeDriver::read(std::uint64_t bytes, int buf_node, int submit_node)
         // outcome reuses the same deterministic placement function the
         // port applied inside dmaWrite.
         topo::Machine& host = dev_.host();
-        const int sq_id = sq.id;
-        const auto label = [sq_id] {
-            return "sq" + std::to_string(sq_id);
-        };
-        flows_.record(static_cast<std::uint64_t>(sq_id), label, bytes,
-                      pf.node() == buf_node,
-                      host.llc(buf_node).dmaWriteLocation(
-                          pf.node(), buf_node) == mem::DataLoc::Llc);
-        flows_.record(static_cast<std::uint64_t>(sq_id), label, 64,
-                      pf.node() == sq.node,
-                      host.llc(sq.node).dmaWriteLocation(
-                          pf.node(), sq.node) == mem::DataLoc::Llc);
+        const auto key = static_cast<std::uint64_t>(sq.id);
+        flows_.record<sqLabel>(
+            key, sq.id, bytes, pf.node() == buf_node,
+            host.llc(buf_node).dmaWriteLocation(pf.node(), buf_node) ==
+                mem::DataLoc::Llc);
+        flows_.record<sqLabel>(
+            key, sq.id, 64, pf.node() == sq.node,
+            host.llc(sq.node).dmaWriteLocation(pf.node(), sq.node) ==
+                mem::DataLoc::Llc);
     }
     if (auto* tr = obs::tracer(dev_.host().sim(), obs::kCatQueue)) {
         tr->complete(obs::kCatQueue, "nvme_read", tracePid_, sq.id,

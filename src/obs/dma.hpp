@@ -29,26 +29,32 @@
  * materialized an unbounded row per key).
  *
  * The sketch cells are the only per-flow store: each holds its flow's
- * label and five counters, and the accountant registers the cells
- * with the registry as one CounterFamily, which reads them on demand.
- * Admitting a flow registers nothing and evicting one erases nothing;
- * ~other is a stored registry row, created at the first eviction.
+ * identity (a nic::FiveTuple, an NVMe SQ id: at most kIdBytes), the
+ * function that formats it and five counters, and the accountant
+ * registers the cells with the registry as one CounterFamily, which
+ * reads them on demand. A label is formatted only when the registry
+ * first reads the row (export, forEach, freeze, or a findCounter/
+ * sumCounters that matches on `flow`) and is cached until the cell is
+ * recycled. Admitting a flow registers and formats nothing; evicting
+ * one folds its cell into ~other, a stored registry row created at
+ * the first eviction, and resets the cell in place for the newcomer.
  *
  * Self-cost: records and evictions are counted (obs_attr_records_total,
  * flow_evictions_total, flow_rows gauge); bench_obs_scale times the
  * record path from outside. Nothing here reads wall-clock time, so
  * results stay bit-identical with telemetry on or off. Inert without a
- * hub: record() is a null check and nothing more, and the label
- * callable is never invoked for keys already resident.
+ * hub: record() is a null check and nothing more.
  */
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <string>
-#include <vector>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "obs/flow_sketch.hpp"
 #include "obs/hub.hpp"
@@ -69,7 +75,7 @@ class DmaAccountant : private CounterFamily
      *               flow count never evicts: one exact row per flow. */
     DmaAccountant(Hub* hub, std::string dev, int top_k = kDefaultTopK)
         : reg_(hub != nullptr ? &hub->metrics() : nullptr),
-          dev_(std::move(dev)), sketch_(static_cast<std::size_t>(top_k))
+          sketch_(static_cast<std::size_t>(top_k)), dev_(std::move(dev))
     {
         assert(top_k > 0);
         if (reg_ == nullptr)
@@ -103,35 +109,42 @@ class DmaAccountant : private CounterFamily
     bool active() const { return reg_ != nullptr; }
 
     /**
-     * Attribute one DMA of @p bytes to the flow identified by @p key.
-     * @p label (any callable returning a flow string) is invoked only
-     * when the key enters the sketch — flow formatting stays off the
-     * steady-state hot path, and no closure object is materialized at
-     * all on the inactive path. @p local: the PF and the memory share
-     * a socket. @p ddio_hit: the LLC absorbed it.
+     * Attribute one DMA of @p bytes to the flow identified by @p key,
+     * whose identity is @p id. The cell keeps a copy of @p id taken
+     * when the key enters the sketch; `Format(id)` turns it into the
+     * row's flow label, and runs only when the registry reads the row.
+     * @p local: the PF and the memory share a socket. @p ddio_hit: the
+     * LLC absorbed it.
      */
-    template <typename LabelFn>
+    template <auto Format, typename Id>
     void
-    record(std::uint64_t key, LabelFn&& label, std::uint64_t bytes,
+    record(std::uint64_t key, const Id& id, std::uint64_t bytes,
            bool local, bool ddio_hit)
     {
+        static_assert(std::is_trivially_copyable_v<Id> &&
+                      sizeof(Id) <= kIdBytes);
         if (reg_ == nullptr)
             return;
         ++records_;
 
         Sketch::Outcome out;
-        Sketch::Entry& e = sketch_.update(key, bytes, out, displaced_);
+        std::uint64_t displaced;
+        FlowCell& row = sketch_.update(key, bytes, out, displaced);
         switch (out) {
           case Sketch::Outcome::Updated:
             break;
           case Sketch::Outcome::Replaced:
-            fold(displaced_.payload);
+            fold(row);
+            row.label.clear();
+            for (Counter& n : row.n)
+                n = Counter{};
             [[fallthrough]];
           case Sketch::Outcome::Admitted:
-            e.payload.label = label();
+            std::memcpy(row.id, &id, sizeof(Id));
+            row.format = &formatId<Format, Id>;
             break;
         }
-        Counter* c = e.payload.n;
+        Counter* c = row.n;
         if (local) {
             c[kLocal].add(bytes);
         } else {
@@ -170,28 +183,46 @@ class DmaAccountant : private CounterFamily
         "flow_interconnect_crossings", "flow_ddio_hits",
         "flow_ddio_misses"};
 
-    /** One resident flow: its label, formatted at admission, and its
-     *  exact counts since then — the registry reads them in place. */
+    /** Largest identity a cell keeps. */
+    static constexpr std::size_t kIdBytes = 16;
+
+    /** One resident flow: its identity and formatter, its label once
+     *  read, and its exact counts since admission — the registry reads
+     *  them in place. */
     struct FlowCell
     {
-        std::string label;
+        alignas(8) unsigned char id[kIdBytes];
+        std::string (*format)(const unsigned char* id) = nullptr;
+        mutable std::string label; ///< Empty until first read.
         Counter n[kColumns];
     };
 
     using Sketch = SpaceSaving<FlowCell>;
+
+    template <auto Format, typename Id>
+    static std::string
+    formatId(const unsigned char* bytes)
+    {
+        Id id;
+        std::memcpy(&id, bytes, sizeof(Id));
+        return std::string(Format(id));
+    }
 
     std::size_t rows() const override { return sketch_.size(); }
 
     const std::string&
     rowLabel(std::size_t row) const override
     {
-        return sketch_.entries()[row].payload.label;
+        const FlowCell& c = sketch_.payload(row);
+        if (c.label.empty())
+            c.label = c.format(c.id);
+        return c.label;
     }
 
     const Counter&
     cell(std::size_t row, std::size_t column) const override
     {
-        return sketch_.entries()[row].payload.n[column];
+        return sketch_.payload(row).n[column];
     }
 
     /**
@@ -212,14 +243,12 @@ class DmaAccountant : private CounterFamily
             other_[i]->add(c.n[i].value());
     }
 
+    // What every record() reads comes first, to share cache lines.
     MetricRegistry* reg_;
-    std::string dev_;
-    Sketch sketch_;
-    Sketch::Entry displaced_; ///< Eviction scratch: the displaced
-                              ///< entry moves here, so record()
-                              ///< constructs no Entry of its own.
-    Counter* other_[kColumns] = {};
     std::uint64_t records_ = 0;
+    Sketch sketch_;
+    Counter* other_[kColumns] = {};
+    std::string dev_;
 };
 
 } // namespace octo::obs

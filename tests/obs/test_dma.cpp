@@ -24,13 +24,50 @@
 namespace octo::obs {
 namespace {
 
+/** A one-character flow label. */
+std::string
+charLabel(char c)
+{
+    return std::string(1, c);
+}
+
+/** Flow label "f<key>". */
+std::string
+fLabel(std::uint64_t key)
+{
+    return "f" + std::to_string(key);
+}
+
+/** Flow label "q<key>". */
+std::string
+qLabel(std::uint64_t key)
+{
+    return "q" + std::to_string(key);
+}
+
+/** Calls of the counting formatters below. */
+int labeled = 0;
+
+std::string
+countedChar(char c)
+{
+    ++labeled;
+    return charLabel(c);
+}
+
+std::string
+countedKey(std::uint64_t key)
+{
+    ++labeled;
+    return fLabel(key);
+}
+
 TEST(DmaAccountant, InertWithoutHub)
 {
     DmaAccountant acc(nullptr, "nic0");
     EXPECT_FALSE(acc.active());
-    int labeled = 0;
-    acc.record(1, [&] { ++labeled; return std::string("f"); }, 4096,
-               true, true);
+    labeled = 0;
+    acc.record<countedChar>(1, 'f', 4096, true, true);
     EXPECT_EQ(acc.flowCount(), 0u);
     EXPECT_EQ(labeled, 0) << "label formatting must stay off";
 }
@@ -40,14 +77,12 @@ TEST(DmaAccountant, RowsSplitLocalityPerFlow)
     Hub hub;
     DmaAccountant acc(&hub, "nic0");
     ASSERT_TRUE(acc.active());
-    int labeled = 0;
-    const auto label_a = [&] { ++labeled; return std::string("a"); };
-    acc.record(1, label_a, 1000, true, true);
-    acc.record(1, label_a, 500, false, false);
-    acc.record(2, [] { return std::string("b"); }, 64, false, true);
+    labeled = 0;
+    acc.record<countedChar>(1, 'a', 1000, true, true);
+    acc.record<countedChar>(1, 'a', 500, false, false);
+    acc.record<charLabel>(2, 'b', 64, false, true);
 
     EXPECT_EQ(acc.flowCount(), 2u);
-    EXPECT_EQ(labeled, 1) << "label invoked only on first sight";
 
     MetricRegistry& reg = hub.metrics();
     const Labels a = {{"dev", "nic0"}, {"flow", "a"}};
@@ -60,6 +95,37 @@ TEST(DmaAccountant, RowsSplitLocalityPerFlow)
     EXPECT_EQ(reg.sumCounters("flow_dma_remote_bytes",
                               {{"dev", "nic0"}}),
               564u);
+    EXPECT_EQ(labeled, 1) << "label formatted once, on first read";
+}
+
+TEST(DmaAccountant, LabelsFormatOnlyWhenRead)
+{
+    Hub hub;
+    DmaAccountant acc(&hub, "nic0", 8);
+    MetricRegistry& reg = hub.metrics();
+    labeled = 0;
+    sim::Rng rng(5);
+    for (int i = 0; i < 4000; ++i) {
+        const std::uint64_t key = rng.below(100);
+        acc.record<countedKey>(key, key, 64 + rng.below(1400),
+                               rng.chance(0.5), true);
+    }
+    ASSERT_GT(acc.evictions(), 0u) << "test must exercise churn";
+    EXPECT_EQ(labeled, 0) << "recording must format no label";
+
+    const std::string prom = reg.prometheusText();
+    const int rows = static_cast<int>(acc.flowCount());
+    EXPECT_EQ(labeled, rows) << "one format per resident row";
+    EXPECT_EQ(reg.prometheusText(), prom);
+    EXPECT_EQ(labeled, rows) << "a second export reuses the labels";
+
+    // A fresh key recycles a cell whose label was read: the cell must
+    // forget it and format the newcomer's.
+    acc.record<countedKey>(1000, 1000, 64, true, true);
+    ASSERT_NE(reg.findCounter("flow_dma_local_bytes",
+                              {{"dev", "nic0"}, {"flow", "f1000"}}),
+              nullptr);
+    EXPECT_EQ(labeled, rows + 1);
 }
 
 std::string
@@ -115,14 +181,12 @@ TEST(DmaAccountant, ExportMatchesParent)
         const std::uint64_t bytes =
             key == 0 ? 65536 : 64 + rng.below(1400);
         const bool local = rng.chance(0.6);
-        churn->record(key, [key] { return "f" + std::to_string(key); },
-                      bytes, local, rng.chance(0.5));
+        churn->record<fLabel>(key, key, bytes, local, rng.chance(0.5));
         if (key == 0 && local)
             hot_local += bytes;
         if (i % 50 == 0) {
             const std::uint64_t q = (i / 50) % 5;
-            quiet->record(q, [q] { return "q" + std::to_string(q); },
-                          bytes, !local, true);
+            quiet->record<qLabel>(q, q, bytes, !local, true);
         }
     }
     ASSERT_GT(churn->evictions(), 0u) << "test must exercise churn";

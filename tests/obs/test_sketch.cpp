@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,20 @@ struct NoPayload
 };
 
 using Sketch = SpaceSaving<NoPayload>;
+
+/** Flow label of key @p key. */
+std::string
+fLabel(std::uint64_t key)
+{
+    return "f" + std::to_string(key);
+}
+
+/** A one-character flow label. */
+std::string
+charLabel(char c)
+{
+    return std::string(1, c);
+}
 
 /** Deterministic Zipf-ish key stream: key j drawn with probability
  *  proportional to 1/(j+1), over @p universe keys. */
@@ -59,7 +74,7 @@ TEST(SpaceSaving, ErrorBoundsUnderZipfianStream)
     Sketch sk(kK);
     std::map<std::uint64_t, std::uint64_t> truth;
     Sketch::Outcome out;
-    Sketch::Entry evicted;
+    std::uint64_t evicted;
     for (std::uint64_t key : zipfStream(4096, 200000, 0xBADC0DE)) {
         sk.update(key, 1, out, evicted);
         ++truth[key];
@@ -93,12 +108,12 @@ TEST(SpaceSaving, EvictionIsDeterministic)
     auto run = [&keys] {
         Sketch sk(16);
         Sketch::Outcome out;
-        Sketch::Entry ev;
+        std::uint64_t ev;
         std::vector<std::uint64_t> evicted_keys;
         for (std::uint64_t key : keys) {
             sk.update(key, 1, out, ev);
             if (out == Sketch::Outcome::Replaced)
-                evicted_keys.push_back(ev.key);
+                evicted_keys.push_back(ev);
         }
         std::vector<std::pair<std::uint64_t, std::uint64_t>> resident;
         for (const auto& e : sk.entries())
@@ -111,6 +126,87 @@ TEST(SpaceSaving, EvictionIsDeterministic)
                                    "identical across identical runs";
     EXPECT_EQ(a.second, b.second);
     EXPECT_FALSE(a.first.empty());
+}
+
+/** The sketch as its definition reads: a linear scan picks the lowest
+ *  slot among the minimum weights. The heap must evict alike. */
+class LinearScanSketch
+{
+  public:
+    explicit LinearScanSketch(std::size_t k) : k_(k) {}
+
+    /** Count @p w of @p key; the displaced key on a replacement. */
+    std::optional<std::uint64_t>
+    update(std::uint64_t key, std::uint64_t w)
+    {
+        for (Sketch::Entry& e : slots_) {
+            if (e.key == key) {
+                e.weight += w;
+                return std::nullopt;
+            }
+        }
+        if (slots_.size() < k_) {
+            slots_.push_back(Sketch::Entry{key, w, 0});
+            return std::nullopt;
+        }
+        std::size_t m = 0;
+        for (std::size_t i = 1; i < slots_.size(); ++i) {
+            if (slots_[i].weight < slots_[m].weight)
+                m = i;
+        }
+        const std::uint64_t evicted = slots_[m].key;
+        const std::uint64_t weight = slots_[m].weight;
+        slots_[m] = Sketch::Entry{key, weight + w, weight};
+        return evicted;
+    }
+
+    const std::vector<Sketch::Entry>& entries() const { return slots_; }
+
+  private:
+    std::size_t k_;
+    std::vector<Sketch::Entry> slots_;
+};
+
+TEST(SpaceSaving, EvictionMatchesLinearScan)
+{
+    // The NIC's two record sizes (a 64 B CQE, a 1500 B payload), over
+    // a universe a few times K, plus runs of fresh 64 B keys: every
+    // fresh admission lands on the same minimum + 64, so the minimum
+    // is shared by many slots and the slot-index tie-break decides.
+    for (std::size_t k : {1, 4, 64}) {
+        Sketch sk(k);
+        LinearScanSketch ref(k);
+        sim::Rng rng(0x5CA7 + k);
+        std::uint64_t fresh = 1'000'000;
+        std::size_t replaced = 0;
+        for (int i = 0; i < 40000; ++i) {
+            std::uint64_t key;
+            std::uint64_t w;
+            if (i % 400 < 100) {
+                key = fresh++;
+                w = 64;
+            } else {
+                key = rng.below(3 * k + 2);
+                w = rng.chance(0.5) ? 64 : 1500;
+            }
+            Sketch::Outcome out;
+            std::uint64_t evicted = 0;
+            sk.update(key, w, out, evicted);
+            const std::optional<std::uint64_t> want = ref.update(key, w);
+            ASSERT_EQ(out == Sketch::Outcome::Replaced, want.has_value())
+                << "K=" << k << " record " << i;
+            if (want) {
+                ASSERT_EQ(evicted, *want) << "K=" << k << " record " << i;
+                ++replaced;
+            }
+        }
+        EXPECT_GT(replaced, 1000u) << "K=" << k;
+        EXPECT_EQ(sk.entries(), ref.entries()) << "K=" << k;
+        std::uint64_t min_w = ref.entries()[0].weight;
+        for (const Sketch::Entry& e : ref.entries())
+            min_w = std::min(min_w, e.weight);
+        EXPECT_EQ(sk.minWeight(), min_w) << "K=" << k;
+    }
 }
 
 TEST(DmaAccountant, OtherRowConservesBytesUnderChurn)
@@ -128,8 +224,7 @@ TEST(DmaAccountant, OtherRowConservesBytesUnderChurn)
         const std::uint64_t key = rng.below(64);
         const std::uint64_t bytes = 64 + rng.below(1400);
         const bool local = rng.chance(0.5);
-        acc.record(key, [key] { return "f" + std::to_string(key); },
-                   bytes, local, local);
+        acc.record<fLabel>(key, key, bytes, local, local);
         (local ? local_ref : remote_ref) += bytes;
     }
 
@@ -164,9 +259,9 @@ TEST(DmaAccountant, MetaInstrumentsTrackSketchState)
 {
     Hub hub;
     DmaAccountant acc(&hub, "nic0", 2);
-    acc.record(1, [] { return std::string("a"); }, 10, true, true);
-    acc.record(2, [] { return std::string("b"); }, 10, true, true);
-    acc.record(3, [] { return std::string("c"); }, 10, true, true);
+    acc.record<charLabel>(1, 'a', 10, true, true);
+    acc.record<charLabel>(2, 'b', 10, true, true);
+    acc.record<charLabel>(3, 'c', 10, true, true);
 
     MetricRegistry& reg = hub.metrics();
     const Labels dev = {{"dev", "nic0"}};
