@@ -12,16 +12,14 @@ using namespace octo::bench;
 
 namespace {
 
-/** 64 KiB TCP Rx in @p mode with the two stack knobs set; @p window 0
- *  keeps the default flow-control window. */
+/** 64 KiB TCP Rx in @p mode with the two stack knobs set. */
 double
 runWith(ServerMode mode, sim::Tick coalesce, std::uint64_t window,
-        ObsSession* obs = nullptr)
+        ObsSession* obs)
 {
     TestbedConfig cfg = modeConfig(mode);
     cfg.rxCoalesce = coalesce;
-    if (window != 0)
-        cfg.stack.windowBytes = window;
+    cfg.stack.windowBytes = window;
     return runTcpStream(cfg, 64 << 10, workloads::StreamDir::ServerRx,
                         kWarmup, kWindow, obs,
                         std::string(core::modeName(mode)) + "/" +
@@ -42,10 +40,14 @@ main(int argc, char** argv)
                 "coalesce  window    ioct[Gb/s]  remote[Gb/s]  ratio");
     for (double co_us : {0.0, 10.0, 50.0}) {
         for (std::uint64_t win : {128ull << 10, 480ull << 10}) {
+            // Observability records the default-knob point, both
+            // presets.
+            ObsSession* observed =
+                co_us == 10.0 && win == (480ull << 10) ? &obs : nullptr;
             const double o = runWith(ServerMode::Ioctopus,
-                                     sim::fromUs(co_us), win);
+                                     sim::fromUs(co_us), win, observed);
             const double r = runWith(ServerMode::Remote,
-                                     sim::fromUs(co_us), win);
+                                     sim::fromUs(co_us), win, observed);
             std::printf("%6.0fus %6lluKB %11.2f %13.2f %7.2f\n", co_us,
                         static_cast<unsigned long long>(win >> 10), o,
                         r, o / r);
@@ -53,11 +55,6 @@ main(int argc, char** argv)
     }
     std::printf("\nShape check: the ioct/remote ratio stays ~1.2-1.3 "
                 "across all knob settings.\n");
-    if (obs) {
-        // Observability pass: the default-knob point, both presets.
-        for (auto mode : {ServerMode::Ioctopus, ServerMode::Remote})
-            runWith(mode, sim::fromUs(10), 0, &obs);
-    }
     obs.finish();
     return 0;
 }

@@ -21,7 +21,7 @@ struct SteeringResult
 };
 
 SteeringResult
-runPingPong(sim::Tick period, ObsSession* obs = nullptr)
+runPingPong(sim::Tick period, ObsSession* obs)
 {
     TestbedConfig cfg;
     cfg.mode = ServerMode::Ioctopus;
@@ -72,7 +72,10 @@ main(int argc, char** argv)
                 "migration period   tput[Gb/s]  ooo-events  "
                 "steering-updates");
     for (double ms : {50.0, 10.0, 2.0, 0.5, 0.1}) {
-        const auto r = runPingPong(sim::fromMs(ms));
+        // Observability records one tame and one pathological period:
+        // the per-PF rx tracks show the ping-pong directly.
+        ObsSession* observed = ms == 10.0 || ms == 0.5 ? &obs : nullptr;
+        const auto r = runPingPong(sim::fromMs(ms), observed);
         std::printf("%8.1f ms %16.2f %11llu %17llu\n", ms, r.gbps,
                     static_cast<unsigned long long>(r.ooo),
                     static_cast<unsigned long long>(r.updates));
@@ -85,12 +88,6 @@ main(int argc, char** argv)
                 "two cores (raising throughput) at\nthe price of "
                 "growing reordering, exactly the trade IOctoRFS "
                 "exists to avoid.\n");
-    if (obs) {
-        // Observability pass: one tame and one pathological period —
-        // the per-PF rx tracks show the ping-pong directly.
-        runPingPong(sim::fromMs(10), &obs);
-        runPingPong(sim::fromUs(500), &obs);
-    }
     obs.finish();
     return 0;
 }

@@ -29,8 +29,7 @@ constexpr int kDepth = 256;
  *  depth, posted in bursts into a polled sink on the client. Returns
  *  the packet rate in MPPS. */
 double
-runBypassPktgen(ServerMode mode, std::uint32_t size,
-                ObsSession* obs = nullptr)
+runBypassPktgen(ServerMode mode, std::uint32_t size, ObsSession* obs)
 {
     TestbedConfig cfg = modeConfig(mode);
     cfg.bypass = true;
@@ -76,9 +75,11 @@ main(int argc, char** argv)
         const auto kl = runPktgen(ServerMode::Local, size);
         const auto kr = runPktgen(ServerMode::Remote, size);
         const auto ki = runPktgen(ServerMode::Ioctopus, size);
-        const auto pl = runBypassPktgen(ServerMode::Local, size);
-        const auto pr = runBypassPktgen(ServerMode::Remote, size);
-        const auto pi = runBypassPktgen(ServerMode::Ioctopus, size);
+        // Observability records the three polled presets at 64 B.
+        ObsSession* observed = size == 64 ? &obs : nullptr;
+        const auto pl = runBypassPktgen(ServerMode::Local, size, observed);
+        const auto pr = runBypassPktgen(ServerMode::Remote, size, observed);
+        const auto pi = runBypassPktgen(ServerMode::Ioctopus, size, observed);
         // "penalty" is local/remote packet rate: how much the remote
         // PF costs. Larger under poll = NUDMA matters *more* once the
         // software term is gone.
@@ -86,12 +87,6 @@ main(int argc, char** argv)
                     "   %11.2fx %13.2fx %14.2fx\n",
                     size, kl.mpps, kr.mpps, ki.mpps, pl, pr, pi,
                     kl.mpps / kr.mpps, pl / pr, pi / pr);
-    }
-    if (obs) {
-        // Observability pass: the three polled presets at 64 B.
-        for (auto mode : {ServerMode::Local, ServerMode::Remote,
-                          ServerMode::Ioctopus})
-            runBypassPktgen(mode, 64, &obs);
     }
     obs.finish();
     return 0;

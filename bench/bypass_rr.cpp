@@ -9,8 +9,9 @@
  * the descriptor reads. `remote-poll` pays a DRAM+QPI round trip per
  * CQE on the critical path — a large *relative* regression — while
  * `ioctopus-poll` keeps every descriptor behind the local PF and closes
- * the gap. Results also land in bypass_rr.csv for the CI smoke to
- * validate (remote-poll p99 must exceed ioctopus-poll p99).
+ * the gap. Results also land in bypass_rr.csv for
+ * tools/check_bypass.py to validate (remote-poll p99 must exceed
+ * ioctopus-poll p99).
  */
 #include <cstdio>
 #include <string>
@@ -98,8 +99,7 @@ clientLoop(bypass::PollPort& port, nic::FiveTuple req_flow,
 }
 
 RrResult
-runBypassRr(ServerMode mode, std::uint64_t msg,
-            ObsSession* obs = nullptr)
+runBypassRr(ServerMode mode, std::uint64_t msg, ObsSession* obs)
 {
     TestbedConfig cfg;
     cfg.mode = mode;
@@ -168,9 +168,11 @@ main(int argc, char** argv)
     for (std::uint64_t msg : kSizes) {
         const auto kl = runKernelRr(ServerMode::Local, msg);
         const auto kr = runKernelRr(ServerMode::Remote, msg);
-        const auto pl = runBypassRr(ServerMode::Local, msg);
-        const auto pr = runBypassRr(ServerMode::Remote, msg);
-        const auto pi = runBypassRr(ServerMode::Ioctopus, msg);
+        // Observability records the three polled presets at 4 KiB.
+        ObsSession* observed = msg == 4096 ? &obs : nullptr;
+        const auto pl = runBypassRr(ServerMode::Local, msg, observed);
+        const auto pr = runBypassRr(ServerMode::Remote, msg, observed);
+        const auto pi = runBypassRr(ServerMode::Ioctopus, msg, observed);
         std::printf("%-8llu %8.2f /%7.2f %9.2f /%6.2f /%6.2f"
                     "   %10.3fx %12.3fx %14.3fx\n",
                     static_cast<unsigned long long>(msg), kl.p99Us,
@@ -196,12 +198,6 @@ main(int argc, char** argv)
     if (csv != nullptr) {
         std::fclose(csv);
         std::printf("# wrote bypass_rr.csv\n");
-    }
-    if (obs) {
-        // Observability pass: the three polled presets at 4 KiB.
-        for (auto mode : {ServerMode::Local, ServerMode::Remote,
-                          ServerMode::Ioctopus})
-            runBypassRr(mode, 4096, &obs);
     }
     obs.finish();
     return 0;

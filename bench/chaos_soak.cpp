@@ -9,25 +9,26 @@
  * reports goodput retention against a fault-free baseline of the same
  * preset plus the oracle verdict.
  *
- * Two deterministic scenarios pin the PR's acceptance on top of the
- * sweep:
+ * Two deterministic scenarios run on top of the sweep:
  *
  *  - gray-contrast: a heavy gray episode (delay + silent drop) on the
  *    PF serving all streams. Stock telemetry (link, bwFraction, AER)
  *    stays nominal, so the plain monitor never reacts; the
  *    differential prober demotes the outlier sibling and steering
- *    moves the flows. Asserted: probed retention >= 2x both the
+ *    moves the flows. Expected: probed retention >= 2x both the
  *    unmonitored and the stock-monitored runs.
  *  - all-sick last resort: PF1 killed while PF0 is gray — every local
  *    path is sick. The monitor's last-resort settle keeps serving on
- *    the least-bad live PF with bounded loss. Asserted: bytes still
+ *    the least-bad live PF with bounded loss. Expected: bytes still
  *    flow in the window and the oracle stays green.
  *
  * Output: `chaos_soak.csv` (one row per sweep run) and
- * `chaos_soak_report.json` (rows + scenario verdicts). The usual
- * `--trace` / `--metrics` / `--sample-us` flags record an
- * observability pass under the `chaos_soak_obs` prefix. `--quick`
- * trims the sweep to one intensity for CI smoke.
+ * `chaos_soak_report.json` (rows + scenario verdicts). The bench
+ * asserts nothing: tools/check_chaos_soak.py checks the report. The
+ * usual `--trace` / `--metrics` / `--sample-us` flags observe the
+ * prober-monitored gray-contrast run under the `chaos_soak_obs`
+ * prefix. `--quick` trims the sweep to one intensity for the ctest
+ * run.
  */
 #include <cstdio>
 #include <string>
@@ -487,54 +488,5 @@ main(int argc, char** argv)
 
     writeOutputs(rows, gray_plain, gray_stock, gray_probed, lr);
     obs.finish();
-
-    int rc = 0;
-    if (gray_probed.gbps < 2.0 * gray_plain.gbps ||
-        gray_probed.gbps < 2.0 * gray_stock.run.gbps) {
-        std::fprintf(stderr,
-                     "FAIL: prober-monitored gray retention %.2f Gb/s "
-                     "is not 2x the unmonitored %.2f / stock %.2f\n",
-                     gray_probed.gbps, gray_plain.gbps,
-                     gray_stock.run.gbps);
-        rc = 1;
-    }
-    if (gray_probed.proberDemotions == 0) {
-        std::fprintf(stderr,
-                     "FAIL: differential prober never demoted the "
-                     "gray PF\n");
-        rc = 1;
-    }
-    if (gray_stock.externalDemotions != 0 || !gray_stock.stockHealthy) {
-        std::fprintf(stderr,
-                     "FAIL: stock telemetry was expected to miss the "
-                     "gray PF (healthy=%d external=%llu)\n",
-                     gray_stock.stockHealthy ? 1 : 0,
-                     static_cast<unsigned long long>(
-                         gray_stock.externalDemotions));
-        rc = 1;
-    }
-    if (lr.run.gbps <= 0.0 || lr.run.oracleViolations != 0 ||
-        lr.run.proberDemotions == 0) {
-        std::fprintf(stderr,
-                     "FAIL: last-resort window did not keep serving "
-                     "cleanly (%.2f Gb/s, %llu violations, %llu "
-                     "demotions)\n",
-                     lr.run.gbps,
-                     static_cast<unsigned long long>(
-                         lr.run.oracleViolations),
-                     static_cast<unsigned long long>(
-                         lr.run.proberDemotions));
-        rc = 1;
-    }
-    for (const SoakRow& r : rows) {
-        if (r.run.oracleViolations != 0) {
-            std::fprintf(stderr,
-                         "FAIL: oracle violations in storm run %s "
-                         "intensity %.2f monitored=%d\n",
-                         r.preset.c_str(), r.intensity,
-                         r.monitored ? 1 : 0);
-            rc = 1;
-        }
-    }
-    return rc;
+    return 0;
 }

@@ -28,18 +28,14 @@ main(int argc, char** argv)
                 "pkt      local[MPPS/Gb/s]  remote[MPPS/Gb/s]  "
                 "ioct/remote  remote membw[Gb/s]");
     for (std::uint32_t size : kSizes) {
-        const auto l = runPktgen(ServerMode::Local, size);
-        const auto r = runPktgen(ServerMode::Remote, size);
-        const auto o = runPktgen(ServerMode::Ioctopus, size);
+        // Observability records the three presets at 64 B line rate.
+        ObsSession* observed = size == 64 ? &obs : nullptr;
+        const auto l = runPktgen(ServerMode::Local, size, observed);
+        const auto r = runPktgen(ServerMode::Remote, size, observed);
+        const auto o = runPktgen(ServerMode::Ioctopus, size, observed);
         std::printf("%-8u %7.2f /%7.2f %8.2f /%7.2f %10.2f %16.2f\n",
                     size, l.mpps, l.gbps, r.mpps, r.gbps,
                     o.gbps / r.gbps, r.membwGbps);
-    }
-    if (obs) {
-        // Observability pass: the three presets at 64 B line rate.
-        for (auto mode : {ServerMode::Local, ServerMode::Remote,
-                          ServerMode::Ioctopus})
-            runPktgen(mode, 64, &obs);
     }
     obs.finish();
     return 0;

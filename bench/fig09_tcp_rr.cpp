@@ -50,7 +50,7 @@ struct RrResult
 };
 
 RrResult
-runRr(RrConfig rc, std::uint64_t msg, ObsSession* obs = nullptr)
+runRr(RrConfig rc, std::uint64_t msg, ObsSession* obs)
 {
     TestbedConfig cfg;
     cfg.mode =
@@ -89,21 +89,18 @@ main(int argc, char** argv)
                 "msg      ll[us]    rr[us]    llnd[us]   rr/ll   "
                 "llnd/ll   rr/ll(p99)");
     for (std::uint64_t msg : kSizes) {
-        const RrResult ll = runRr(RrConfig::Ll, msg);
-        const RrResult rrv = runRr(RrConfig::Rr, msg);
-        const RrResult llnd = runRr(RrConfig::Llnd, msg);
+        // Observability records the three configs at 4 KiB, with the
+        // e2e latency spans on the critical request/response path.
+        ObsSession* observed = msg == 4096 ? &obs : nullptr;
+        const RrResult ll = runRr(RrConfig::Ll, msg, observed);
+        const RrResult rrv = runRr(RrConfig::Rr, msg, observed);
+        const RrResult llnd = runRr(RrConfig::Llnd, msg, observed);
         // The paper notes the 90th/99th percentiles behave like the
         // mean; the last column verifies that.
         std::printf("%-8llu %8.2f %9.2f %10.2f %7.3f %8.3f %10.3f\n",
                     static_cast<unsigned long long>(msg), ll.meanUs,
                     rrv.meanUs, llnd.meanUs, rrv.meanUs / ll.meanUs,
                     llnd.meanUs / ll.meanUs, rrv.p99Us / ll.p99Us);
-    }
-    if (obs) {
-        // Observability pass: the three configs at 4 KiB, with the e2e
-        // latency spans on the critical request/response path.
-        for (auto rc : {RrConfig::Ll, RrConfig::Rr, RrConfig::Llnd})
-            runRr(rc, 4096, &obs);
     }
     obs.finish();
     return 0;

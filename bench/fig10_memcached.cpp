@@ -26,7 +26,7 @@ struct KvResult
 };
 
 KvResult
-runKv(ServerMode mode, int set_pct, ObsSession* obs = nullptr)
+runKv(ServerMode mode, int set_pct, ObsSession* obs)
 {
     TestbedConfig cfg;
     cfg.mode = mode;
@@ -67,16 +67,13 @@ main(int argc, char** argv)
                 "set%   ioct[kT/s]  remote[kT/s]  ioct/remote  "
                 "ioct membw[GB/s]  remote membw[GB/s]");
     for (int pct : kSetPct) {
-        const auto o = runKv(ServerMode::Ioctopus, pct);
-        const auto r = runKv(ServerMode::Remote, pct);
+        // Observability records the 50% SET mix, both presets.
+        ObsSession* observed = pct == 50 ? &obs : nullptr;
+        const auto o = runKv(ServerMode::Ioctopus, pct, observed);
+        const auto r = runKv(ServerMode::Remote, pct, observed);
         std::printf("%-6d %10.2f %13.2f %12.2f %17.2f %19.2f\n", pct,
                     o.ktps, r.ktps, o.ktps / r.ktps, o.membwGBps,
                     r.membwGBps);
-    }
-    if (obs) {
-        // Observability pass: the 50% SET mix, both presets.
-        for (auto mode : {ServerMode::Ioctopus, ServerMode::Remote})
-            runKv(mode, 50, &obs);
     }
     obs.finish();
     return 0;

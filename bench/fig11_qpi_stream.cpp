@@ -17,7 +17,7 @@ namespace {
 
 /** TCP Rx throughput in Gb/s next to @p stream_pairs STREAM pairs. */
 double
-runColoc(ServerMode mode, int stream_pairs, ObsSession* obs = nullptr)
+runColoc(ServerMode mode, int stream_pairs, ObsSession* obs)
 {
     TestbedConfig cfg = modeConfig(mode);
     obsBegin(obs, cfg,
@@ -52,15 +52,13 @@ main(int argc, char** argv)
     printHeader("Fig. 11 — TCP Rx + STREAM interconnect congestion",
                 "pairs  ioct[Gb/s]  remote[Gb/s]  ioct/remote");
     for (int pairs = 1; pairs <= 6; ++pairs) {
-        const double o = runColoc(ServerMode::Ioctopus, pairs);
-        const double r = runColoc(ServerMode::Remote, pairs);
+        // Observability records the heaviest congestion point, both
+        // presets: the qpi_gbps counter track shows the antagonist
+        // load directly.
+        ObsSession* observed = pairs == 6 ? &obs : nullptr;
+        const double o = runColoc(ServerMode::Ioctopus, pairs, observed);
+        const double r = runColoc(ServerMode::Remote, pairs, observed);
         std::printf("%-6d %10.2f %13.2f %12.2f\n", pairs, o, r, o / r);
-    }
-    if (obs) {
-        // Observability pass: heaviest congestion point, both presets —
-        // the qpi_gbps counter track shows the antagonist load directly.
-        for (auto mode : {ServerMode::Ioctopus, ServerMode::Remote})
-            runColoc(mode, 6, &obs);
     }
     obs.finish();
     return 0;

@@ -15,7 +15,7 @@ using namespace octo::bench;
 namespace {
 
 double
-runLatency(ServerMode mode, int stream_pairs, ObsSession* obs = nullptr)
+runLatency(ServerMode mode, int stream_pairs, ObsSession* obs)
 {
     TestbedConfig cfg;
     cfg.mode = mode;
@@ -53,14 +53,12 @@ main(int argc, char** argv)
     printHeader("Fig. 12 — 64B message latency + STREAM congestion",
                 "pairs  ioct[us]  remote[us]  ioct/remote");
     for (int pairs = 1; pairs <= 6; ++pairs) {
-        const double o = runLatency(ServerMode::Ioctopus, pairs);
-        const double r = runLatency(ServerMode::Remote, pairs);
+        // Observability records the heaviest congestion point, both
+        // presets.
+        ObsSession* observed = pairs == 6 ? &obs : nullptr;
+        const double o = runLatency(ServerMode::Ioctopus, pairs, observed);
+        const double r = runLatency(ServerMode::Remote, pairs, observed);
         std::printf("%-6d %9.2f %10.2f %12.2f\n", pairs, o, r, o / r);
-    }
-    if (obs) {
-        // Observability pass: heaviest congestion point, both presets.
-        for (auto mode : {ServerMode::Ioctopus, ServerMode::Remote})
-            runLatency(mode, 6, &obs);
     }
     obs.finish();
     return 0;

@@ -29,7 +29,7 @@ struct ColocResult
 };
 
 ColocResult
-runColoc(ServerMode mode, bool use_memcached, ObsSession* obs = nullptr)
+runColoc(ServerMode mode, bool use_memcached, ObsSession* obs)
 {
     TestbedConfig cfg;
     cfg.mode = mode;
@@ -113,18 +113,15 @@ main(int argc, char** argv)
     for (bool kv : {false, true}) {
         for (auto mode :
              {ServerMode::Ioctopus, ServerMode::Remote}) {
-            const auto r = runColoc(mode, kv);
+            // Observability records the netperf co-location, both
+            // presets: membw_gbps and qpi_gbps tracks show PageRank
+            // vs DMA traffic.
+            const auto r = runColoc(mode, kv, kv ? nullptr : &obs);
             std::printf("%-10s %-9s %10.3f %14.2f %16.2f\n",
                         kv ? "memcached" : "netperf",
                         core::modeName(mode), r.prSeconds, r.ioGbps,
                         r.ioKtps);
         }
-    }
-    if (obs) {
-        // Observability pass: the netperf co-location, both presets —
-        // membw_gbps and qpi_gbps tracks show PageRank vs DMA traffic.
-        for (auto mode : {ServerMode::Ioctopus, ServerMode::Remote})
-            runColoc(mode, false, &obs);
     }
     obs.finish();
     return 0;

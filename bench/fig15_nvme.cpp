@@ -134,19 +134,17 @@ main(int argc, char** argv)
                 "(normalized)",
                 "#streams  fio[norm]  STREAM[norm]  fio-octoSSD[norm]");
     for (int n = 1; n <= 10; ++n) {
-        const auto r = runNvme(n, false);
-        const auto o = runNvme(n, true);
+        // Observability records the saturated interconnect, plain vs
+        // octo SSD: the latency_e2e_ns histograms carry the per-dev
+        // I/O times.
+        ObsSession* observed = n == 6 ? &obs : nullptr;
+        const auto r = runNvme(n, false, observed);
+        const auto o = runNvme(n, true, observed);
         std::printf("%-9d %9.3f %12.3f %17.3f\n", n,
                     r.fioGBps / fio_base,
                     r.streamGBps / (stream_base * n > 0 ? stream_base * n
                                                         : 1),
                     o.fioGBps / fio_base_octo);
-    }
-    if (obs) {
-        // Observability pass: saturated interconnect, plain vs octo SSD
-        // — the latency_e2e_ns histograms carry the per-dev I/O times.
-        runNvme(6, false, &obs);
-        runNvme(6, true, &obs);
     }
     obs.finish();
     return 0;

@@ -29,14 +29,14 @@
  * period. Per pass the bench reports wall ns/record (min over its
  * chunks, filtering host noise out of the flatness comparison),
  * resident sketch rows, registry label rows, and evictions.
- * Acceptance (tools/check_obs_scale.py): bounded modes hold rows <=
- * K (+1 registry row for ~other) and flat ns/record across three
- * decades of flow count, while the unbounded mode's rows grow with
- * the flow count.
+ * Acceptance (tools/check_obs_scale.py): every pass conserves bytes,
+ * bounded modes hold rows <= K (+1 registry row for ~other) and flat
+ * ns/record across three decades of flow count, while the unbounded
+ * mode's rows grow with the flow count.
  *
- * Output: an `obs_scale.csv` table plus printed rows; exits nonzero
- * on any conservation or bound violation. `--quick` trims the sweep
- * for CI.
+ * Output: an `obs_scale.csv` table plus printed rows. The bench
+ * asserts nothing; the script checks the CSV. `--quick` trims the
+ * sweep for the ctest run.
  */
 #include <chrono>
 #include <cstdint>
@@ -235,8 +235,7 @@ main(int argc, char** argv)
     for (const auto& p : passes)
         results.push_back(p->result());
 
-    bool ok = true;
-    for (const PassResult& r : results) {
+    for (const PassResult& r : results)
         std::printf("%-10s %6d %9llu %12.1f %10llu %10llu %12llu %s\n",
                     r.mode.c_str(), r.topK,
                     static_cast<unsigned long long>(r.flows),
@@ -245,25 +244,6 @@ main(int argc, char** argv)
                     static_cast<unsigned long long>(r.labelRows),
                     static_cast<unsigned long long>(r.evictions),
                     r.conserved ? "yes" : "NO");
-        if (!r.conserved) {
-            std::printf("FAIL: %s flows=%llu broke byte "
-                        "conservation\n",
-                        r.mode.c_str(),
-                        static_cast<unsigned long long>(r.flows));
-            ok = false;
-        }
-        if (r.mode != "unbounded" &&
-            r.residentRows > static_cast<std::uint64_t>(r.topK)) {
-            std::printf("FAIL: %s flows=%llu resident rows %llu > "
-                        "K=%d\n",
-                        r.mode.c_str(),
-                        static_cast<unsigned long long>(r.flows),
-                        static_cast<unsigned long long>(
-                            r.residentRows),
-                        r.topK);
-            ok = false;
-        }
-    }
 
     if (std::FILE* f = std::fopen("obs_scale.csv", "w")) {
         std::fprintf(f, "mode,topk,flows,records,ns_per_record,"
@@ -285,5 +265,5 @@ main(int argc, char** argv)
         std::printf("# wrote obs_scale.csv (%zu passes)\n",
                     results.size());
     }
-    return ok ? 0 : 1;
+    return 0;
 }

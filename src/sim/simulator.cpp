@@ -41,7 +41,7 @@ Simulator::Simulator()
  * detach) frames it owns. Remaining exceptions, documented: frames
  * still owned by a live Task object (that Task's destructor handles
  * them) and frames parked on sync-primitive wait queues
- * (Channel/Semaphore/Signal/Gate hold no timer event to find here).
+ * (Channel/Semaphore/Signal hold no timer event to find here).
  */
 Simulator::~Simulator()
 {

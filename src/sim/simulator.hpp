@@ -299,26 +299,6 @@ class Simulator
     /** Sequential small device id for Domain::device assignment. */
     int allocDeviceId() { return nextDeviceId_++; }
 
-    /** RAII: set the current domain for a synchronous code region so
-     *  events scheduled inside inherit the tag. */
-    class DomainScope
-    {
-      public:
-        DomainScope(Simulator& sim, Domain d)
-            : sim_(sim), prev_(sim.currentDomain_)
-        {
-            sim_.currentDomain_ =
-                static_cast<std::uint8_t>(sim_.domainId(d));
-        }
-        ~DomainScope() { sim_.currentDomain_ = prev_; }
-        DomainScope(const DomainScope&) = delete;
-        DomainScope& operator=(const DomainScope&) = delete;
-
-      private:
-        Simulator& sim_;
-        std::uint8_t prev_;
-    };
-
     /**
      * Attach/detach an observability hub (metrics + tracing). Must be
      * attached *before* model components are constructed — they

@@ -1,7 +1,7 @@
 /**
  * @file
  * Synchronization primitives for simulation coroutines: bounded channels,
- * counting semaphores, and one-shot gates.
+ * counting semaphores, and broadcast signals.
  *
  * All wakeups are funnelled through the simulator's event queue at the
  * current tick rather than resumed inline, so that same-tick processes
@@ -355,67 +355,6 @@ class Signal
     };
 
     Simulator& sim_;
-    std::deque<Waiter> waiters_;
-};
-
-/**
- * One-shot gate: waiters suspend until open() is called; afterwards
- * wait() completes immediately. Used for run-phase barriers.
- */
-class Gate
-{
-  public:
-    explicit Gate(Simulator& sim) : sim_(sim) {}
-
-    Gate(const Gate&) = delete;
-    Gate& operator=(const Gate&) = delete;
-
-    void
-    open()
-    {
-        if (open_)
-            return;
-        open_ = true;
-        for (const Waiter& w : waiters_)
-            sim_.scheduleResume(0, w.h, w.det);
-        waiters_.clear();
-    }
-
-    class WaitAwaiter
-    {
-      public:
-        explicit WaitAwaiter(Gate& g) : g_(g) {}
-
-        bool await_ready() const { return g_.open_; }
-
-        template <typename P>
-        void
-        await_suspend(std::coroutine_handle<P> h)
-        {
-            g_.waiters_.push_back(Waiter{h, detail::detachedFlag(h)});
-        }
-
-        void await_resume() const {}
-
-      private:
-        Gate& g_;
-    };
-
-    WaitAwaiter
-    wait()
-    {
-        return WaitAwaiter{*this};
-    }
-
-  private:
-    struct Waiter
-    {
-        std::coroutine_handle<> h;
-        const bool* det;
-    };
-
-    Simulator& sim_;
-    bool open_ = false;
     std::deque<Waiter> waiters_;
 };
 

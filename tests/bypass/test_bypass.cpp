@@ -194,7 +194,8 @@ TEST(BypassPort, TxBurstCompletionsReleaseSemaphorePerDescriptor)
 
 // ---------------------------------------------------------------------
 // Zero perturbation: the same workload with the full observability
-// stack attached delivers bit-identical packet counts and timing.
+// stack attached (hub plus the health monitor the benches add when
+// sampling) delivers bit-identical packet counts and timing.
 // ---------------------------------------------------------------------
 TEST(BypassPlane, TelemetryOnOffDoesNotPerturbTheDatapath)
 {
@@ -208,9 +209,13 @@ TEST(BypassPlane, TelemetryOnOffDoesNotPerturbTheDatapath)
         cfg.mode = ServerMode::Ioctopus;
         cfg.bypass = true;
         cfg.cal.coresPerNode = 2;
-        if (with_hub)
+        if (with_hub) {
             cfg.hub = &hub;
+            // What bench::obsBegin adds when sampling an Ioctopus run.
+            cfg.healthMonitor = true;
+        }
         Testbed tb(cfg);
+        EXPECT_EQ(tb.monitor() != nullptr, with_hub);
         BypassStream stream(tb, 2); // server port on node 1
         tb.runFor(fromMs(5));
         PollPlane& sp = *tb.serverPoll();

@@ -158,7 +158,8 @@ TEST(Sampler, ReportJsonIsDeterministicAndSchemaTagged)
     EXPECT_NE(a.find("\"unit\":\"gbps\""), std::string::npos);
 }
 
-/** Bytes delivered by a 5 ms Rx run, with or without full telemetry. */
+/** Bytes delivered by a 5 ms Rx run, with or without full telemetry:
+ *  hub, tracer, sampler and the health monitor the benches attach. */
 std::uint64_t
 runBytes(bool sampled)
 {
@@ -169,6 +170,8 @@ runBytes(bool sampled)
         hub.tracer().enable(kCatAll);
         hub.setRun("sampled");
         cfg.hub = &hub;
+        // What bench::obsBegin adds when sampling an Ioctopus run.
+        cfg.healthMonitor = true;
     }
     core::Testbed tb(cfg);
     auto server_t = tb.serverThread(tb.workNode(), 0);
@@ -184,6 +187,11 @@ runBytes(bool sampled)
                                       sim::fromUs(100));
         s->watchRate("rx_gbps", [&] { return stream.bytesDelivered(); });
         s->watchGauge("g", [] { return 1.0; });
+        const health::HealthMonitor* mon = tb.monitor();
+        EXPECT_NE(mon, nullptr);
+        if (mon != nullptr)
+            s->watchGauge("pf0_health_weight",
+                          [mon] { return mon->weight(0); });
         s->start();
     }
     tb.runFor(sim::fromMs(5));

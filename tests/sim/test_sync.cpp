@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for coroutine synchronization: channels, semaphores, gates.
+ * Unit tests for coroutine synchronization: channels and semaphores.
  */
 #include <gtest/gtest.h>
 
@@ -183,42 +183,6 @@ TEST(Semaphore, AcquireBypassDeniedWhenWaitersQueued)
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
     EXPECT_TRUE(first.done() && second.done() && third.done());
-}
-
-TEST(Gate, WaitersReleasedOnOpen)
-{
-    Simulator sim;
-    Gate gate(sim);
-    int released = 0;
-    auto mk = [&]() -> Task<> {
-        co_await gate.wait();
-        ++released;
-    };
-    auto a = mk();
-    auto b = mk();
-    auto opener = spawn([&]() -> Task<> {
-        co_await delay(sim, 42);
-        gate.open();
-    });
-    sim.runUntil(41);
-    EXPECT_EQ(released, 0);
-    sim.run();
-    EXPECT_EQ(released, 2);
-    EXPECT_TRUE(a.done() && b.done() && opener.done());
-}
-
-TEST(Gate, WaitAfterOpenIsImmediate)
-{
-    Simulator sim;
-    Gate gate(sim);
-    gate.open();
-    bool ran = false;
-    auto t = spawn([&]() -> Task<> {
-        co_await gate.wait();
-        ran = true;
-    });
-    EXPECT_TRUE(ran); // no suspension needed
-    EXPECT_TRUE(t.done());
 }
 
 } // namespace

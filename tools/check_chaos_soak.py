@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Acceptance checks on bench_chaos_soak's report.
 
-Every storm row must be oracle-green with more than 100 checks, both
-presets (kernel and -poll) must be present, the differential prober
-must beat the unmonitored and stock-monitored runs by 2x on the gray
-episode while stock telemetry stays blind to it, and the all-sick
-last-resort window must keep serving with all weights zero seen and no
-oracle violation.
+The sweep CSV beside the report must be non-empty, every storm row
+must be oracle-green with more than 100 checks, both presets (kernel
+and -poll) must be present, the differential prober must beat the
+unmonitored and stock-monitored runs by 2x on the gray episode while
+stock telemetry stays blind to it, and the all-sick last-resort
+window must keep serving with all weights zero seen, the prober
+demoting the gray PF and no oracle violation.
 
 Usage:
     python3 tools/check_chaos_soak.py [chaos_soak_report.json]
@@ -16,10 +17,13 @@ its report. Exits non-zero on the first failed assertion.
 """
 
 import json
+import os
 import sys
 
 
 def main(path):
+    csv_path = os.path.join(os.path.dirname(path), "chaos_soak.csv")
+    assert os.path.getsize(csv_path) > 0, f"{csv_path}: empty"
     report = json.load(open(path))
     rows = report["rows"]
     assert rows, "no sweep rows"
@@ -45,6 +49,7 @@ def main(path):
     assert lr["sick_window_gbps"] > 0, lr
     assert lr["all_weights_zero_seen"], lr
     assert lr["oracle_violations"] == 0, lr
+    assert lr["prober_demotions"] > 0, lr
     print(f"last resort ok: {lr['sick_window_gbps']} Gb/s with "
           f"all weights zero")
 
