@@ -7,14 +7,14 @@
  *
  * Paper shape: fio throughput is SSD-bound until the UPI saturates
  * (~5 STREAMs), then degrades by up to ~24%; STREAM throughput also
- * normalizes down. An OctoSSD (dual-port, locality-steered — the
- * paper's future work, which we implement) is immune; printed as an
- * extra column.
+ * normalizes down. An OctoSSD (dual-port, its driver's node-0 SQ homed
+ * on the node-0 port — the paper's future work, which we implement) is
+ * immune; printed as an extra column.
  */
 #include <memory>
 
 #include "common.hpp"
-#include "nvme/nvme.hpp"
+#include "nvme/driver.hpp"
 #include "workloads/antagonists.hpp"
 #include "workloads/fio.hpp"
 
@@ -44,22 +44,28 @@ runNvme(int n_streams, bool octo_ssd, ObsSession* obs = nullptr)
     topo::Machine m(sim, cal, "server");
 
     // Four SSDs on socket 1; fio threads and their buffers on socket 0.
+    // Each drive's driver has an SQ per node, homed on the node-local
+    // port: port 0 (socket 1) on a plain drive, the second port on an
+    // OctoSSD.
     std::vector<std::unique_ptr<nvme::NvmeDevice>> ssds;
-    std::vector<nvme::NvmeDevice*> ssd_ptrs;
+    std::vector<std::unique_ptr<nvme::NvmeDriver>> drivers;
+    std::vector<nvme::NvmeDriver*> drv_ptrs;
     for (int i = 0; i < 4; ++i) {
         ssds.push_back(std::make_unique<nvme::NvmeDevice>(
             m, 1, 4, "ssd" + std::to_string(i)));
         if (octo_ssd)
             ssds.back()->addSecondPort(0, 4);
-        ssd_ptrs.push_back(ssds.back().get());
+        drivers.push_back(std::make_unique<nvme::NvmeDriver>(*ssds.back()));
+        for (int n = 0; n < cal.nodes; ++n)
+            drivers.back()->addSq(n);
+        drv_ptrs.push_back(drivers.back().get());
     }
 
     workloads::FioConfig fc;
-    fc.octoSteer = octo_ssd;
     std::vector<std::unique_ptr<workloads::FioThread>> fio;
     for (int i = 0; i < 8; ++i) {
         fio.push_back(std::make_unique<workloads::FioThread>(
-            os::ThreadCtx(m, m.coreOn(0, i)), ssd_ptrs, fc));
+            os::ThreadCtx(m, m.coreOn(0, i)), drv_ptrs, fc));
         fio.back()->start();
     }
 
@@ -135,8 +141,8 @@ main(int argc, char** argv)
                 "#streams  fio[norm]  STREAM[norm]  fio-octoSSD[norm]");
     for (int n = 1; n <= 10; ++n) {
         // Observability records the saturated interconnect, plain vs
-        // octo SSD: the latency_e2e_ns histograms carry the per-dev
-        // I/O times.
+        // octo SSD: each drive's driver writes its I/O times into a
+        // per-dev latency_e2e_ns histogram.
         ObsSession* observed = n == 6 ? &obs : nullptr;
         const auto r = runNvme(n, false, observed);
         const auto o = runNvme(n, true, observed);

@@ -24,7 +24,9 @@
  * series is an events-per-second rate, unit `per_s`). With `--trace`
  * the monitored run also records steering/health trace events into
  * `tx_retention_trace.json` plus a Prometheus snapshot in
- * `tx_retention_metrics.prom`.
+ * `tx_retention_metrics.prom`. `--quick` runs all three variants on a
+ * timeline 5x shorter (degrade at 60 ms, restore at 120 ms, 200 ms
+ * horizon), for the traced ctest fixture.
  */
 #include "common.hpp"
 
@@ -34,10 +36,20 @@ using namespace octo::bench;
 namespace {
 
 constexpr int kStreams = 4;
-constexpr sim::Tick kDegradeAt = sim::fromMs(300);
-constexpr sim::Tick kRestoreAt = sim::fromMs(600);
-constexpr sim::Tick kRunFor = sim::fromMs(1000);
 constexpr sim::Tick kSample = sim::fromMs(10);
+
+/** When PF0 retrains to x2, when it is restored, and the horizon. */
+struct Timeline
+{
+    sim::Tick degradeAt;
+    sim::Tick restoreAt;
+    sim::Tick runFor;
+};
+
+constexpr Timeline kFull{sim::fromMs(300), sim::fromMs(600),
+                         sim::fromMs(1000)};
+constexpr Timeline kQuick{sim::fromMs(60), sim::fromMs(120),
+                          sim::fromMs(200)};
 
 struct TxRunResult
 {
@@ -53,14 +65,15 @@ struct TxRunResult
  *  rings, making the per-core ring numbering diverge from the
  *  monitor's group slots — the per-post override path fires. */
 TxRunResult
-runTimeline(bool monitored, bool print, ObsSession* obs,
-            const char* label, int tx_rings = 1, int streams = kStreams)
+runTimeline(const Timeline& tl, bool monitored, bool print,
+            ObsSession* obs, const char* label, int tx_rings = 1,
+            int streams = kStreams)
 {
     TestbedConfig cfg;
     cfg.mode = ServerMode::Ioctopus;
     cfg.txRingsPerCore = tx_rings;
-    cfg.faults.pcieWidthDegrade(kDegradeAt, 0, 2)
-        .pcieRestore(kRestoreAt, 0);
+    cfg.faults.pcieWidthDegrade(tl.degradeAt, 0, 2)
+        .pcieRestore(tl.restoreAt, 0);
     obsBegin(obs, cfg, label);
     // After obsBegin: the monitor is this run's comparison knob, not an
     // observability convenience, so the explicit setting must win.
@@ -92,29 +105,35 @@ runTimeline(bool monitored, bool print, ObsSession* obs,
 
     std::uint64_t degraded_bytes = 0;
     std::uint64_t mark = 0;
-    for (sim::Tick t = 0; t < kRunFor; t += kSample) {
+    for (sim::Tick t = 0; t < tl.runFor; t += kSample) {
         tb.runFor(kSample);
         const sim::Tick now = tb.sim().now();
-        if (now == kDegradeAt + kSample)
+        if (now == tl.degradeAt + kSample)
             mark = app_bytes();
-        if (now == kRestoreAt)
+        if (now == tl.restoreAt)
             degraded_bytes = app_bytes() - mark;
     }
 
     if (print) {
-        std::printf("\n# octoNIC: PF0 retrained x8->x2 at 0.30 s, "
-                    "restored at 0.60 s; %d Tx streams from node 0; "
+        const double degrade_ms = sim::toMs(tl.degradeAt);
+        const double restore_ms = sim::toMs(tl.restoreAt);
+        std::printf("\n# octoNIC: PF0 retrained x8->x2 at %.2f s, "
+                    "restored at %.2f s; %d Tx streams from node 0; "
                     "monitor %s; 10 ms samples\n",
-                    streams, monitored ? "ON" : "OFF");
+                    degrade_ms / 1000.0, restore_ms / 1000.0, streams,
+                    monitored ? "ON" : "OFF");
         std::printf("%-8s %10s %10s %10s %14s\n", "t[s]", "pf0-tx",
                     "pf1-tx", "app", "override/s");
+        // Every tenth of the horizon, plus every sample around the two
+        // fault edges.
+        const int stride = static_cast<int>(sim::toMs(tl.runFor)) / 10;
         const obs::RunData& run = timeline.runs().front();
         for (std::size_t i = 0; i < run.timesMs.size(); ++i) {
             const double t_ms = run.timesMs[i];
             const bool near_fault =
-                (t_ms >= 290 && t_ms <= 370) ||
-                (t_ms >= 590 && t_ms <= 690);
-            if (static_cast<int>(t_ms) % 100 != 0 && !near_fault)
+                (t_ms >= degrade_ms - 10 && t_ms <= degrade_ms + 70) ||
+                (t_ms >= restore_ms - 10 && t_ms <= restore_ms + 90);
+            if (static_cast<int>(t_ms) % stride != 0 && !near_fault)
                 continue;
             std::printf("%-8.2f %10.2f %10.2f %10.2f %14.0f\n",
                         t_ms / 1000.0, run.series[0].values[i],
@@ -142,17 +161,19 @@ runTimeline(bool monitored, bool print, ObsSession* obs,
 int
 main(int argc, char** argv)
 {
-    ObsSession obs(parseFlags(argc, argv).obs, "tx_retention");
+    const Flags flags = parseFlags(argc, argv);
+    const Timeline& tl = flags.quick ? kQuick : kFull;
+    ObsSession obs(flags.obs, "tx_retention");
 
     printHeader("Tx retention — health-aware XPS under a degraded PF",
                 "(time series below)");
     const TxRunResult with =
-        runTimeline(true, true, &obs, "monitored");
+        runTimeline(tl, true, true, &obs, "monitored");
     const TxRunResult without =
-        runTimeline(false, true, &obs, "plain");
+        runTimeline(tl, false, true, &obs, "plain");
 
     const double window_s =
-        sim::toMs(kRestoreAt - kDegradeAt - kSample) / 1000.0;
+        sim::toMs(tl.restoreAt - tl.degradeAt - kSample) / 1000.0;
     std::printf("\n# degraded-window app throughput: monitored %.2f Gb/s "
                 "vs unmonitored %.2f Gb/s (%.2fx)\n",
                 static_cast<double>(with.degradedBytes) * 8 / 1e9 /
@@ -170,7 +191,7 @@ main(int argc, char** argv)
     // check and individual sends get redirected — the counter the
     // single-ring runs leave at 0.
     const TxRunResult multi =
-        runTimeline(true, false, &obs, "monitored-7rings", 7, 8);
+        runTimeline(tl, true, false, &obs, "monitored-7rings", 7, 8);
     std::printf("# tx-overrides: 1 ring/core=%llu, 7 rings/core=%llu\n",
                 static_cast<unsigned long long>(with.overrides),
                 static_cast<unsigned long long>(multi.overrides));

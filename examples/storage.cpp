@@ -1,10 +1,11 @@
 /**
  * @file
  * OctoSSD demo (the paper's §5.4 future work, implemented here): a
- * dual-port NVMe drive whose DMA is steered through the port local to
- * each destination buffer, making storage I/O NUDMA-free the same way
- * the octoNIC does for networking. Reproduces the Fig. 15 sensitivity
- * in miniature and shows the OctoSSD immunity.
+ * dual-port NVMe drive whose driver homes each node's submission queue
+ * on the port local to that node, so a reader's DMA (its buffers live
+ * on its own node) never crosses the interconnect — storage I/O made
+ * NUDMA-free the same way the octoNIC does for networking. Reproduces
+ * the Fig. 15 sensitivity in miniature and shows the OctoSSD immunity.
  *
  * Usage: octo_ssd [n_antagonist_streams]
  */
@@ -13,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "nvme/nvme.hpp"
+#include "nvme/driver.hpp"
 #include "sim/stats.hpp"
 #include "workloads/antagonists.hpp"
 #include "workloads/fio.hpp"
@@ -29,18 +30,23 @@ runFio(int n_streams, bool octo_ssd)
     topo::Calibration cal;
     topo::Machine m(sim, cal, "server");
 
+    // One driver per drive, one SQ per node homed on the node-local
+    // port: the OctoSSD's second port serves the fio node.
     std::vector<std::unique_ptr<nvme::NvmeDevice>> ssds;
-    std::vector<nvme::NvmeDevice*> ptrs;
+    std::vector<std::unique_ptr<nvme::NvmeDriver>> drivers;
+    std::vector<nvme::NvmeDriver*> ptrs;
     for (int i = 0; i < 4; ++i) {
         ssds.push_back(std::make_unique<nvme::NvmeDevice>(
             m, 1, 4, "ssd" + std::to_string(i)));
         if (octo_ssd)
             ssds.back()->addSecondPort(0, 4);
-        ptrs.push_back(ssds.back().get());
+        drivers.push_back(std::make_unique<nvme::NvmeDriver>(*ssds.back()));
+        for (int n = 0; n < cal.nodes; ++n)
+            drivers.back()->addSq(n);
+        ptrs.push_back(drivers.back().get());
     }
 
     workloads::FioConfig fc;
-    fc.octoSteer = octo_ssd;
     std::vector<std::unique_ptr<workloads::FioThread>> fio;
     for (int i = 0; i < 8; ++i) {
         fio.push_back(std::make_unique<workloads::FioThread>(

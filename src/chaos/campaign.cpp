@@ -70,8 +70,6 @@ enum class Family
     GrayDelay,
     GrayDrop,
     QueueStall,
-    NvmeDoorbell,
-    NvmeCq,
     Qpi,
     Irq,
 };
@@ -85,7 +83,6 @@ storm(const StormSpec& spec)
     sim::Rng rng(spec.seed ^ 0x57'0B'2Dull); // decouple from other users
     const int pfs = spec.targets.pfCount;
     const int queues = spec.targets.queueCount;
-    const int sqs = spec.targets.nvmeSqCount;
 
     // Candidate families for this target population.
     std::vector<Family> fams;
@@ -98,10 +95,6 @@ storm(const StormSpec& spec)
     }
     if (queues > 0)
         fams.push_back(Family::QueueStall);
-    if (sqs > 0) {
-        fams.push_back(Family::NvmeDoorbell);
-        fams.push_back(Family::NvmeCq);
-    }
     fams.push_back(Family::Qpi);
     fams.push_back(Family::Irq);
 
@@ -170,19 +163,6 @@ storm(const StormSpec& spec)
                             static_cast<int>(rng.below(
                                 static_cast<std::uint64_t>(queues))),
                             len);
-            break;
-          case Family::NvmeDoorbell:
-            plan.nvmeDoorbellStuck(
-                t,
-                static_cast<int>(
-                    rng.below(static_cast<std::uint64_t>(sqs))),
-                len);
-            break;
-          case Family::NvmeCq:
-            plan.nvmeCqStall(t,
-                             static_cast<int>(rng.below(
-                                 static_cast<std::uint64_t>(sqs))),
-                             len);
             break;
           case Family::Qpi:
             if (qpiBusyUntil <= t) {

@@ -18,10 +18,9 @@
  *    exercises last-resort steering (nowhere local to go).
  *  - **Storm**: the one seeded fault generator. Poisson arrivals over
  *    PF kills, width/gen retrains, silent link flaps, gray delay and
- *    drop, NIC queue stalls, NVMe doorbell and CQ stalls, QPI
- *    degradation and interrupt drop/delay, with per-resource
- *    serialization so the schedule stays contradiction-free.
- *    Intensity scales the arrival rate.
+ *    drop, NIC queue stalls, QPI degradation and interrupt drop/delay,
+ *    with per-resource serialization so the schedule stays
+ *    contradiction-free. Intensity scales the arrival rate.
  *  - **Gray siblings**: sub-threshold latency/loss on chosen PFs that
  *    stock telemetry cannot see — the differential prober's prey.
  */
@@ -57,10 +56,10 @@ struct StormSpec
     sim::Tick horizon = sim::fromMs(60);
     /** Arrival-rate multiplier: mean arrivals ~= 10 x intensity. */
     double intensity = 1.0;
-    /** Target population. Families whose count is <= 0 are skipped
-     *  (set nvmeSqCount = 0 on a testbed with no SSD). Unlike
-     *  validate()'s "-1 = unknown", the storm needs real counts to
-     *  draw targets from, so pfCount and queueCount must be > 0. */
+    /** Target population. Unlike validate()'s "-1 = unknown", the
+     *  storm needs real counts to draw targets from, so pfCount and
+     *  queueCount must be > 0. The storm draws no NVMe faults; the
+     *  plan is validated against nvmeSqCount all the same. */
     fault::TargetSpec targets{2, 8, 0};
 };
 
@@ -89,8 +88,7 @@ fault::FaultPlan correlatedDualPf(const DualPfSpec& spec = {});
  *  - PF (pfCount > 0), serialized on one busy window per PF: surprise
  *    kill; retrain to 1-4 lanes, at half gen rate with p = 0.5; silent
  *    link flap. Gray delay and gray drop share a second per-PF window.
- *  - Queue stall (queueCount > 0); NVMe doorbell and CQ stalls
- *    (nvmeSqCount > 0). One-shot, not serialized.
+ *  - Queue stall (queueCount > 0). One-shot, not serialized.
  *  - QPI degradation to 20-70% of nominal, and interrupt faults (drop
  *    every 2-5th, or delay 20-200 us, healed by irqRestore): each
  *    serialized on its own busy window.

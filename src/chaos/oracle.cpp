@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "bypass/mempool.hpp"
-#include "nvme/driver.hpp"
 #include "obs/hub.hpp"
 #include "os/socket.hpp"
 #include "sim/simulator.hpp"
@@ -116,28 +115,6 @@ Oracle::watchMempool(std::string name, const bypass::Mempool& pool,
                            static_cast<unsigned long long>(in_use));
             return {};
         });
-}
-
-void
-Oracle::watchNvme(const nvme::NvmeDriver& drv)
-{
-    const nvme::NvmeDriver* d = &drv;
-    addInvariant("nvme_command_balance", [d]() -> std::string {
-        for (int i = 0; i < d->sqCount(); ++i) {
-            const nvme::NvmeSq& sq = d->sq(i);
-            if (sq.inflight < 0)
-                return fmt("sq %d: inflight=%d negative", i,
-                           sq.inflight);
-            if (sq.ios !=
-                sq.done + static_cast<std::uint64_t>(sq.inflight))
-                return fmt("sq %d: ios=%llu != done=%llu + inflight=%d",
-                           i,
-                           static_cast<unsigned long long>(sq.ios),
-                           static_cast<unsigned long long>(sq.done),
-                           sq.inflight);
-        }
-        return {};
-    });
 }
 
 void

@@ -13,7 +13,6 @@
  *  - window-credit conservation on every watched connection,
  *  - bypass Mempool buffer conservation (allocs - frees == in use,
  *    per-node use within capacity),
- *  - NVMe command balance (submitted == completed + in flight),
  *  - bounded re-steer churn per check interval,
  *  - no-stuck-flow progress (a watched counter must advance within a
  *    bound unless its exemption — e.g. "every path is faulted" —
@@ -52,10 +51,6 @@ namespace octo::bypass {
 class Mempool;
 }
 
-namespace octo::nvme {
-class NvmeDriver;
-}
-
 namespace octo::chaos {
 
 /** One recorded invariant violation. */
@@ -91,10 +86,6 @@ class Oracle
      *  use. @p name distinguishes multiple pools in snapshots. */
     void watchMempool(std::string name, const bypass::Mempool& pool,
                       int nodes);
-
-    /** NVMe command balance on every SQ of @p drv: submitted ==
-     *  completed + in flight, and in flight never goes negative. */
-    void watchNvme(const nvme::NvmeDriver& drv);
 
     /** Bounded churn: the cumulative counter @p counter may grow by at
      *  most @p budget per check interval. Catches steering loops that

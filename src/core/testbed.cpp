@@ -91,8 +91,7 @@ Testbed::Testbed(const TestbedConfig& cfg) : cfg_(cfg)
     // NIC datapaths share one queue plane, so the monitor judges
     // busy-polled queues exactly like interrupt-driven ones.
     if (cfg_.healthMonitor && cfg_.mode == ServerMode::Ioctopus) {
-        monitor_ = std::make_unique<health::HealthMonitor>(serverPlane(),
-                                                           cfg_.health);
+        monitor_ = std::make_unique<health::HealthMonitor>(serverPlane());
         monitor_->start();
         if (cfg_.diffProber) {
             prober_ =

@@ -101,9 +101,6 @@ struct TestbedConfig
      *  driver's alive-or-dead failover. */
     bool healthMonitor = false;
 
-    /** Monitor settings (probe-gated probation exit). */
-    health::HealthConfig health;
-
     /** Attach a DifferentialProber next to the monitor (requires
      *  healthMonitor): gray-failure detection by sibling-RTT
      *  comparison, feeding external demotions into the monitor. */

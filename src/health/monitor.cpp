@@ -8,25 +8,23 @@ namespace octo::health {
 using steer::Endpoint;
 using steer::EndpointTelemetry;
 
-HealthMonitor::HealthMonitor(steer::SteerablePlane& plane,
-                             HealthConfig cfg)
-    : plane_(plane), cfg_(cfg)
+HealthMonitor::HealthMonitor(steer::SteerablePlane& plane)
+    : plane_(plane)
 {
     const int pfs = plane_.pfCount();
     const int queues = plane_.steerableQueueCount();
     scores_.reserve(pfs);
     for (int i = 0; i < pfs; ++i) {
         scores_.emplace_back(
-            cfg_, plane_.telemetry(Endpoint::ofPf(i)).nominalGbps);
+            plane_.telemetry(Endpoint::ofPf(i)).nominalGbps);
         base_.push_back({});
     }
     pfDrained_.assign(pfs, 0);
-    probing_.assign(pfs, 0);
     qscores_.reserve(queues);
     for (int q = 0; q < queues; ++q) {
         // A queue has no bandwidth of its own: its score runs on a unit
         // nominal, so weight is 1 when trusted and 0 when evacuated.
-        qscores_.emplace_back(cfg_, 1.0);
+        qscores_.emplace_back(1.0);
         qbase_.push_back({});
         const EndpointTelemetry t =
             plane_.telemetry(Endpoint::ofQueue(0, q));
@@ -149,13 +147,6 @@ HealthMonitor::sampleTick()
                          {"error_delta", s.errorDelta}});
                 }
             }
-            // Probation exit wants an active probe: launch one (at most
-            // one in flight per PF) and let its result promote/demote.
-            if (cfg_.probePromotion && scores_[i].probePending() &&
-                probing_[i] == 0) {
-                probing_[i] = 1;
-                runProbe(static_cast<int>(i)).detach();
-            }
         }
         for (std::size_t q = 0; q < qscores_.size(); ++q) {
             const EndpointTelemetry t = plane_.telemetry(
@@ -205,32 +196,6 @@ HealthMonitor::demoteExternal(int pf)
                      {"state", stateName(scores_.at(pf).state())}});
     }
     applyWeights();
-}
-
-sim::Task<>
-HealthMonitor::runProbe(int pf)
-{
-    ++probesSent_;
-    sim::Simulator& sim = plane_.planeSim();
-    if (auto* tr = obs::tracer(sim, obs::kCatHealth)) {
-        tr->instant(obs::kCatHealth, "probe_start", tracePid_, 0,
-                    sim.now(), {{"endpoint", Endpoint::ofPf(pf).name()}});
-    }
-    const bool ok = co_await plane_.probe(pf);
-    probing_.at(pf) = 0;
-    const sim::Tick now = sim.now();
-    const bool moved = ok ? (++probesPassed_,
-                             scores_.at(pf).probeSucceeded(now))
-                          : (++probesFailed_,
-                             scores_.at(pf).probeFailed(now));
-    if (auto* tr = obs::tracer(sim, obs::kCatHealth)) {
-        tr->instant(obs::kCatHealth, "probe_result", tracePid_, 0, now,
-                    {{"endpoint", Endpoint::ofPf(pf).name()},
-                     {"passed", ok ? 1 : 0},
-                     {"state", stateName(scores_.at(pf).state())}});
-    }
-    if (moved)
-        applyWeights();
 }
 
 void
@@ -300,7 +265,7 @@ HealthMonitor::applyWeights()
             // Queue-grain override: a sick or administratively drained
             // queue leaves home alone, even when its PF group stays put.
             // Probation does NOT override — the queue returns to its
-            // group's target, which is how the recovered path is probed.
+            // group's target, which is how the recovered path is tried.
             const bool sick = queueSick(static_cast<int>(q));
             const bool adm = qDrained_[q] != 0;
             if ((sick || adm) && alt >= 0 && w[alt] > 0)

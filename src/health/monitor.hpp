@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "health/score.hpp"
-#include "sim/task.hpp"
+#include "sim/simulator.hpp"
 #include "steer/endpoint.hpp"
 #include "steer/plane.hpp"
 
@@ -44,8 +44,7 @@ namespace octo::health {
 class HealthMonitor
 {
   public:
-    explicit HealthMonitor(steer::SteerablePlane& plane,
-                           HealthConfig cfg = {});
+    explicit HealthMonitor(steer::SteerablePlane& plane);
     ~HealthMonitor();
 
     /** Spawn the sampling task (idempotent). */
@@ -122,18 +121,11 @@ class HealthMonitor
      *  several endpoints). Bounded-flap tests assert on this. */
     std::uint64_t verdicts() const { return verdicts_; }
 
-    // ------------------------------------------------ probation probes
-    /** Probes launched / passed / failed (probePromotion mode). */
-    std::uint64_t probesSent() const { return probesSent_; }
-    std::uint64_t probesPassed() const { return probesPassed_; }
-    std::uint64_t probesFailed() const { return probesFailed_; }
-
     /** Current effective steering weights, one per PF. */
     std::vector<double> weights() const;
 
   private:
     void sampleTick();
-    sim::Task<> runProbe(int pf);
     void applyWeights();
 
     /** A queue-grain verdict that evacuates the queue alone. */
@@ -152,7 +144,6 @@ class HealthMonitor
     };
 
     steer::SteerablePlane& plane_;
-    HealthConfig cfg_;
     std::vector<HealthScore> scores_;  ///< One per PF.
     std::vector<HealthScore> qscores_; ///< One per steerable queue.
     std::vector<Baseline> base_;
@@ -161,14 +152,10 @@ class HealthMonitor
     std::vector<int> lastTarget_; ///< Last PF target pushed per queue.
     std::vector<char> pfDrained_;
     std::vector<char> qDrained_;
-    std::vector<char> probing_; ///< A probe is in flight for this PF.
     sim::EventRef tick_; ///< Periodic sampling cadence (one slot).
     bool started_ = false;
     std::uint64_t samples_ = 0;
     std::uint64_t verdicts_ = 0;
-    std::uint64_t probesSent_ = 0;
-    std::uint64_t probesPassed_ = 0;
-    std::uint64_t probesFailed_ = 0;
     std::uint64_t externalDemotions_ = 0;
     int tracePid_ = 0; ///< Trace process for this plane's health lane.
 };

@@ -14,7 +14,7 @@
  * demotes a PF through HealthMonitor::demoteExternal() when its EWMA
  * stays above 3 x best-sibling + 20 us (or above 1 ms outright) for
  * two rounds in a row. Recovery then runs through the monitor's
- * normal Failed → Probation → probe ladder.
+ * normal Failed → Probation → Healthy ladder.
  */
 #pragma once
 

@@ -45,7 +45,8 @@ enum class HealthState
     Healthy,   ///< Full steering weight.
     Degraded,  ///< Link up but running below nominal bandwidth.
     Failed,    ///< Link down (or effectively dead): weight zero.
-    Probation, ///< Recovered but untrusted: carries probe traffic only.
+    Probation, ///< Recovered but untrusted: reduced weight until a
+               ///< clean-sample streak promotes it.
 };
 
 /** Human-readable state name (logs, CSV columns, test messages). */
@@ -108,18 +109,6 @@ inline constexpr double kWeightDeadband = 0.10;
  *  even when its link trains at full width. */
 inline constexpr double kStallPenalty = 0.50;
 
-/** The one health-monitoring setting a caller chooses. */
-struct HealthConfig
-{
-    /** Gate Probation exit on an active probe: instead of promoting on
-     *  clean-sample counting alone, the monitor sends a tiny RR probe
-     *  load through the recovering PF and promotes only when it
-     *  completes cleanly. A probe failure re-demotes (to Failed, with
-     *  backoff escalation) without any real flow having touched the
-     *  path. Off by default: telemetry-only promotion. */
-    bool probePromotion = false;
-};
-
 /** One monitor sample of a PF's observable state. */
 struct HealthSample
 {
@@ -142,12 +131,11 @@ class HealthScore
 {
   public:
     /**
-     * @param cfg          The monitor's settings (owned by it).
      * @param nominal_gbps The PF's full-width full-gen bandwidth; the
      *                     steering weight is this value scaled by health.
      */
-    HealthScore(const HealthConfig& cfg, double nominal_gbps)
-        : cfg_(cfg), nominal_(nominal_gbps), weight_(nominal_gbps),
+    explicit HealthScore(double nominal_gbps)
+        : nominal_(nominal_gbps), weight_(nominal_gbps),
           backoff_(kBackoffMin)
     {
     }
@@ -230,56 +218,23 @@ class HealthScore
                 belowStreak_ = kEnterSamples;
                 return degrade(s.now, bw);
             }
-            if (++cleanStreak_ >= kExitSamples) {
-                if (!cfg_.probePromotion)
-                    return promote(s.now);
-                // Telemetry looks clean: hand the verdict to an active
-                // probe. Streak resets so a lost probe re-arms after
-                // another clean streak rather than spamming.
-                probePending_ = true;
-                cleanStreak_ = 0;
-            }
+            if (++cleanStreak_ >= kExitSamples)
+                return promote(s.now);
             return false;
         }
         return false;
     }
 
-    /** A probe should be launched (Probation clean streak complete). */
-    bool probePending() const { return probePending_; }
-
-    /** Probe completed cleanly: promote. No-op when the state moved on
-     *  (relapse while the probe was in flight). Returns verdict-changed. */
-    bool
-    probeSucceeded(sim::Tick now)
-    {
-        if (!probePending_ || state_ != HealthState::Probation)
-            return false;
-        probePending_ = false;
-        return promote(now);
-    }
-
-    /** Probe failed: the path only *looked* healthy. Re-demote to
-     *  Failed with backoff escalation. Returns verdict-changed. */
-    bool
-    probeFailed(sim::Tick now)
-    {
-        if (!probePending_ || state_ != HealthState::Probation)
-            return false;
-        probePending_ = false;
-        return fail(now);
-    }
-
     /** External fault verdict (differential prober, operator): the
      *  path is sick in a way telemetry cannot see, so force Failed
      *  with the usual backoff escalation. The normal
-     *  Failed→Probation→probe ladder governs recovery. Returns
+     *  Failed→Probation→Healthy ladder governs recovery. Returns
      *  verdict-changed. */
     bool
     externalFault(sim::Tick now)
     {
         if (state_ == HealthState::Failed)
             return false;
-        probePending_ = false;
         return fail(now);
     }
 
@@ -329,7 +284,6 @@ class HealthScore
         weight_ = w;
         belowStreak_ = 0;
         cleanStreak_ = 0;
-        probePending_ = false; // any transition voids an armed probe
         ++transitions_;
         return true;
     }
@@ -362,7 +316,6 @@ class HealthScore
         return enter(HealthState::Healthy, now, nominal_);
     }
 
-    const HealthConfig& cfg_;
     double nominal_;
     HealthState state_ = HealthState::Healthy;
     double weight_;
@@ -373,7 +326,6 @@ class HealthScore
     sim::Tick backoff_;
     int belowStreak_ = 0;
     int cleanStreak_ = 0;
-    bool probePending_ = false;
     std::uint64_t transitions_ = 0;
     std::uint64_t relapses_ = 0;
 };

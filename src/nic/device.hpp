@@ -207,8 +207,10 @@ class NicDevice
     void setPfLink(int idx, bool up);
 
     /** Rebind @p qid's DMA to @p pf (driver reprogramming the queue
-     *  context behind a surviving endpoint). Ring and buffers stay
-     *  put; only the PCIe path changes. */
+     *  context behind another endpoint). Ring and buffers stay put;
+     *  only the PCIe path changes. Drivers go through
+     *  nic::QueuePlane::resteerQueue, which drains the old binding
+     *  first. */
     void rebindQueue(int qid, pcie::PciFunction& pf);
 
     /** Stall queue @p qid's datapath (firmware hiccup): Rx completions

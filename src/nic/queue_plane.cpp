@@ -141,10 +141,10 @@ QueuePlane::drainAndRebind(int qid, int pf_idx, std::uint64_t epoch)
 sim::Task<bool>
 QueuePlane::probe(int pf_idx)
 {
-    // Pick a queue currently bound to the PF under probation; the
-    // probe rides the normal Tx path (descriptor fetch, wire, CQE
-    // write-back, reap) but belongs to no flow, so no real traffic is
-    // steered onto the endpoint until the probe passes.
+    // Pick a queue currently bound to the PF; the probe rides the
+    // normal Tx path (descriptor fetch, wire, CQE write-back, reap) but
+    // belongs to no flow, so it measures the path without touching
+    // real traffic.
     int qid = -1;
     for (int q = 0; q < device_.queueCount(); ++q) {
         if (device_.queue(q).pf->id() == pf_idx) {

@@ -11,7 +11,7 @@
  *    read straight from the device, the drain-then-rebind resteer
  *    (firmware-RPC delay, watchdog-bounded drain of the old binding,
  *    epoch guard against verdict churn — the §4.2 ooo_okay discipline),
- *    the administrative drain, and the probation probe;
+ *    the administrative drain, and the health probe;
  *  - the Rx CQE-residency read (`cqeRead`): the NUDMA term a consumer
  *    pays per completion whether a softirq or a poll loop reads it.
  *
@@ -64,7 +64,7 @@ class QueuePlane : public steer::SteerablePlane
     void drain(const steer::Endpoint& ep) override;
 
     /**
-     * Probation probe: post one tiny fast-path descriptor on a queue
+     * Health probe: post one tiny fast-path descriptor on a queue
      * bound to PF @p pf and wait (watchdog-bounded) for its completion
      * to come back clean — no socket, no real flow. An interrupt-driven
      * queue's completion is reaped by the normal Tx softirq; a polled
@@ -83,7 +83,8 @@ class QueuePlane : public steer::SteerablePlane
      * firmware RPC, drain the in-flight completions of the old binding
      * (bounded by kDrainWatchdog), then rebind. A newer re-steer for
      * the same queue supersedes an in-flight one (epoch check), so
-     * verdict churn cannot interleave stale rebinds.
+     * verdict churn cannot interleave stale rebinds. Monitor verdicts
+     * and the team driver's PF failover both move queues here.
      */
     void resteerQueue(int qid, int pf_idx);
 

@@ -58,8 +58,8 @@ class NvmeDevice
     pcie::PciFunction& port(int idx) { return *ports_.at(idx); }
 
     /**
-     * Select the port used for a transfer targeting @p mem_node: the
-     * node-local one when present (OctoSSD steering), else port 0.
+     * The port local to @p mem_node when present (OctoSSD steering),
+     * else port 0: the home port of the driver's SQ for that node.
      */
     pcie::PciFunction&
     portFor(int mem_node)
@@ -72,34 +72,13 @@ class NvmeDevice
     }
 
     /**
-     * Asynchronous block read of @p bytes into a buffer on
-     * @p buf_node: media access, payload DMA, completion-entry DMA.
-     * @param octo_steer  Pick the port local to the buffer (OctoSSD)
-     *                    rather than always port 0.
-     * @param submit_node Socket of the submitting core. The 64B
-     *                    completion entry lands in that node's
-     *                    completion queue — NOT wherever the data buffer
-     *                    happens to live (a cross-socket buffer must not
-     *                    drag the CQE across with it). Negative falls
-     *                    back to @p buf_node for legacy single-node
-     *                    callers.
+     * Block read of @p bytes into a buffer on @p buf_node through port
+     * @p pf: media access, payload DMA, then the 64B completion entry
+     * DMA to @p cq_node, the submitter's socket (a cross-socket buffer
+     * must not drag the CQE across with it). nvme::NvmeDriver is the
+     * caller: the port is the submission queue's current binding, not
+     * a per-IO choice.
      * @return Total device-side latency.
-     */
-    Task<Tick>
-    read(std::uint64_t bytes, int buf_node, bool octo_steer = false,
-         int submit_node = -1)
-    {
-        pcie::PciFunction& pf =
-            octo_steer ? portFor(buf_node) : *ports_.front();
-        return readVia(pf, bytes, buf_node,
-                       submit_node >= 0 ? submit_node : buf_node);
-    }
-
-    /**
-     * Block read routed through an explicit port (the multi-queue
-     * driver's path: the port is the submission queue's current
-     * binding, not a per-IO choice). The completion entry DMAs to
-     * @p cq_node, the submitter's socket.
      */
     Task<Tick>
     readVia(pcie::PciFunction& pf, std::uint64_t bytes, int buf_node,

@@ -477,7 +477,10 @@ NetStack::applyPfEvent(int pf_idx, bool up)
 {
     // A health monitor owns PF verdicts in weighted-steering mode; the
     // all-or-nothing failover below would fight its gradual probation
-    // rebalance (and double-rebind queues), so it stands down.
+    // rebalance (and double-rebind queues), so it stands down. Each
+    // move below is a queue-plane resteer: the firmware RPC, the
+    // watchdog-bounded drain of the old binding and the epoch guard
+    // apply exactly as they do to a monitor verdict.
     if (weightedSteering_)
         return;
     nic::NicDevice& dev = device_;
@@ -494,7 +497,7 @@ NetStack::applyPfEvent(int pf_idx, bool up)
                 dev.pfForNodeAlive(q.irqCore->node());
             if (survivor == nullptr || survivor->id() == pf_idx)
                 continue; // total PCIe outage: nothing to steer to
-            dev.rebindQueue(qid, *survivor);
+            resteerQueue(qid, survivor->id());
             ++pfFailovers_;
             if (auto* tr = obs::tracer(sim_, obs::kCatHealth)) {
                 tr->instant(obs::kCatHealth, "pf_failover", tracePid_,
@@ -513,7 +516,7 @@ NetStack::applyPfEvent(int pf_idx, bool up)
         nic::NicQueue& q = dev.queue(qid);
         if (q.homePf->id() != pf_idx || q.pf == q.homePf)
             continue;
-        dev.rebindQueue(qid, *q.homePf);
+        resteerQueue(qid, pf_idx);
         ++pfRebalances_;
         if (auto* tr = obs::tracer(sim_, obs::kCatHealth)) {
             tr->instant(obs::kCatHealth, "pf_rebalance", tracePid_, qid,

@@ -40,10 +40,10 @@ struct StackConfig
 
     // -------------------------------------------------- fault tolerance
     /** Team-driver PF failover: when a member PF dies, its queues are
-     *  rebound to a surviving PF (accepting NUDMA over an outage) and
-     *  rebalanced back on recovery. The octoNIC treats its per-socket
-     *  PFs "like a bonding device"; this is the bonding-style failover
-     *  that view implies. */
+     *  resteered to a surviving PF (accepting NUDMA over an outage) and
+     *  back home on recovery, through the queue plane's resteer. The
+     *  octoNIC treats its per-socket PFs "like a bonding device"; this
+     *  is the bonding-style failover that view implies. */
     bool teamFailover = false;
 
     /** RTO-style retry worker period (0 disables): window credits held
@@ -186,7 +186,9 @@ class NetStack : public nic::NicSink, public nic::QueuePlane
     std::uint64_t steeringUpdates() const { return steeringUpdates_; }
     std::uint64_t steeringExpiries() const { return steeringExpiries_; }
 
-    /** Queues failed over to a surviving PF / rebalanced back home. */
+    /** Team-driver resteers issued: queues failed over to a surviving
+     *  PF / rebalanced back home. Each one that lands also counts in
+     *  resteersPerformed(). */
     std::uint64_t pfFailovers() const { return pfFailovers_; }
     std::uint64_t pfRebalances() const { return pfRebalances_; }
 
@@ -215,7 +217,8 @@ class NetStack : public nic::NicSink, public nic::QueuePlane
      *  instead of sticking to a once-degraded PF's queues. */
     int xpsLookup(int core_id, int domain) const;
 
-    /** Act on a PF death/recovery after the detection delay. */
+    /** Act on a PF death/recovery after the detection delay: resteer
+     *  the affected queues to a survivor, or back home. */
     void applyPfEvent(int pf_idx, bool up);
 
     /** IRQ fault filter: true if the interrupt was dropped (a watchdog

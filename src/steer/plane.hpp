@@ -122,11 +122,11 @@ class SteerablePlane
 
     /**
      * Send a tiny probe load through PF @p pf and report whether it
-     * completed cleanly (probation-exit gate: the monitor calls this
-     * before promoting a recovering PF so real flows never test a path
-     * that only *looks* healthy). Implementations post control-path
-     * traffic only; the default accepts unconditionally, preserving
-     * pure clean-sample promotion for planes without a probe path.
+     * completed cleanly. The differential prober times these round
+     * trips against the PF's siblings to catch gray failures that
+     * telemetry cannot see. Implementations post control-path traffic
+     * only; the default accepts at once, so a plane without a probe
+     * path shows every PF alike.
      */
     virtual sim::Task<bool>
     probe(int pf)

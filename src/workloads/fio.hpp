@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "nvme/driver.hpp"
-#include "nvme/nvme.hpp"
 #include "os/thread.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -24,25 +23,17 @@ struct FioConfig
     int queueDepth = 32;
     /** Per-IO submission+reap CPU cost on the issuing core. */
     sim::Tick perIoCpu = sim::fromUs(1.2);
-    /** OctoSSD mode: steer each DMA through the SSD port local to the
-     *  destination buffer (the paper's future-work direction). */
-    bool octoSteer = false;
 };
 
-/** One fio thread bound to one core, striping reads across SSDs. */
+/**
+ * One fio thread bound to one core, striping reads across drives. IOs
+ * go through each drive's multi-queue driver: the submitter's per-node
+ * SQ picks the port (the node-local one on a dual-port OctoSSD), and
+ * the buffer sits on the submitting core's node.
+ */
 class FioThread
 {
   public:
-    FioThread(os::ThreadCtx ctx, std::vector<nvme::NvmeDevice*> ssds,
-              const FioConfig& cfg)
-        : ctx_(ctx), ssds_(std::move(ssds)), cfg_(cfg),
-          qd_(ctx_.machine().sim(), cfg.queueDepth)
-    {
-    }
-
-    /** Driver-backed variant: IOs go through each drive's multi-queue
-     *  driver (per-node SQs, monitor-steerable ports) instead of the
-     *  raw device. */
     FioThread(os::ThreadCtx ctx, std::vector<nvme::NvmeDriver*> drivers,
               const FioConfig& cfg)
         : ctx_(ctx), drivers_(std::move(drivers)), cfg_(cfg),
@@ -62,24 +53,12 @@ class FioThread
         for (;;) {
             co_await qd_.acquire();
             co_await ctx_.core().compute(cfg_.perIoCpu);
-            if (!drivers_.empty())
-                ioVia(*drivers_[i++ % drivers_.size()]).detach();
-            else
-                io(*ssds_[i++ % ssds_.size()]).detach();
+            io(*drivers_[i++ % drivers_.size()]).detach();
         }
     }
 
     sim::Task<>
-    io(nvme::NvmeDevice& ssd)
-    {
-        co_await ssd.read(cfg_.blockBytes, ctx_.node(), cfg_.octoSteer,
-                          ctx_.node());
-        bytes_ += cfg_.blockBytes;
-        qd_.release();
-    }
-
-    sim::Task<>
-    ioVia(nvme::NvmeDriver& drv)
+    io(nvme::NvmeDriver& drv)
     {
         co_await drv.read(cfg_.blockBytes, ctx_.node(), ctx_.node());
         bytes_ += cfg_.blockBytes;
@@ -87,7 +66,6 @@ class FioThread
     }
 
     os::ThreadCtx ctx_;
-    std::vector<nvme::NvmeDevice*> ssds_;
     std::vector<nvme::NvmeDriver*> drivers_;
     FioConfig cfg_;
     sim::Semaphore qd_;

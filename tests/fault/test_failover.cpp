@@ -72,6 +72,10 @@ TEST(FaultFailover, PfKillRecoversToPreFaultThroughput)
     EXPECT_EQ(tb.serverNic().pfRecoveries(), 1u);
     EXPECT_GE(tb.serverStack().pfFailovers(), 1u);
     EXPECT_GE(tb.serverStack().pfRebalances(), 1u);
+    // ...each move through the queue plane's resteer...
+    EXPECT_EQ(tb.serverStack().resteersPerformed(),
+              tb.serverStack().pfFailovers() +
+                  tb.serverStack().pfRebalances());
     // ...and every credit held by a lost frame was reclaimed.
     const os::Socket& cs = stream.clientSocket();
     const os::Socket& ss = stream.serverSocket();

@@ -90,16 +90,14 @@ TEST(HealthWeight, KeepSlotSpreadsKeptSetAcrossIdSpace)
 // ---------------------------------------------------------------------
 TEST(HealthScore, StartsHealthyAtFullWeight)
 {
-    HealthConfig cfg;
-    HealthScore score(cfg, kNominal);
+    HealthScore score(kNominal);
     EXPECT_EQ(score.state(), HealthState::Healthy);
     EXPECT_DOUBLE_EQ(score.weight(), kNominal);
 }
 
 TEST(HealthScore, SingleBlipBelowThresholdIsIgnored)
 {
-    HealthConfig cfg; // kEnterSamples = 2
-    HealthScore score(cfg, kNominal);
+    HealthScore score(kNominal); // kEnterSamples = 2
     Tick now = 0;
     feed(score, &now, 1, 0.25); // one bad sample (retraining blip)
     EXPECT_EQ(score.state(), HealthState::Healthy);
@@ -110,8 +108,7 @@ TEST(HealthScore, SingleBlipBelowThresholdIsIgnored)
 
 TEST(HealthScore, SustainedDegradationScalesWeight)
 {
-    HealthConfig cfg;
-    HealthScore score(cfg, kNominal);
+    HealthScore score(kNominal);
     Tick now = 0;
     feed(score, &now, kEnterSamples, 0.25); // x8 -> x2
     EXPECT_EQ(score.state(), HealthState::Degraded);
@@ -120,8 +117,7 @@ TEST(HealthScore, SustainedDegradationScalesWeight)
 
 TEST(HealthScore, LinkDownFailsImmediatelyWithZeroWeight)
 {
-    HealthConfig cfg;
-    HealthScore score(cfg, kNominal);
+    HealthScore score(kNominal);
     Tick now = 0;
     feed(score, &now, 1, 1.0, /*link_up=*/false);
     EXPECT_EQ(score.state(), HealthState::Failed);
@@ -130,8 +126,7 @@ TEST(HealthScore, LinkDownFailsImmediatelyWithZeroWeight)
 
 TEST(HealthScore, RecoveryGoesThroughProbationThenFullWeight)
 {
-    HealthConfig cfg;
-    HealthScore score(cfg, kNominal);
+    HealthScore score(kNominal);
     Tick now = 0;
     feed(score, &now, 1, 1.0, false); // Failed
     // Recovered link: promotion waits out the backoff first...
@@ -148,8 +143,7 @@ TEST(HealthScore, RecoveryGoesThroughProbationThenFullWeight)
 
 TEST(HealthScore, StallEventsPenalizeAHealthyLink)
 {
-    HealthConfig cfg;
-    HealthScore score(cfg, kNominal);
+    HealthScore score(kNominal);
     Tick now = 0;
     // Link trains at full width but the queue datapath is stalling:
     // effective bw = 1.0 * stallPenalty = 0.5 < degradeEnter.
@@ -163,8 +157,7 @@ TEST(HealthScore, StallEventsPenalizeAHealthyLink)
 // ---------------------------------------------------------------------
 TEST(HealthScore, OscillationInsideHysteresisBandCausesNoTransitions)
 {
-    HealthConfig cfg; // enter < 0.90, exit >= 0.97
-    HealthScore score(cfg, kNominal);
+    HealthScore score(kNominal); // enter < 0.90, exit >= 0.97
     Tick now = 0;
     // Noise band between the two thresholds: entirely absorbed.
     for (int i = 0; i < 200; ++i)
@@ -184,8 +177,7 @@ TEST(HealthScore, OscillationInsideHysteresisBandCausesNoTransitions)
 
 TEST(HealthScore, DeadbandFollowsLargeWeightMovesOnly)
 {
-    HealthConfig cfg;
-    HealthScore score(cfg, kNominal);
+    HealthScore score(kNominal);
     Tick now = 0;
     feed(score, &now, kEnterSamples, 0.50);
     ASSERT_EQ(score.state(), HealthState::Degraded);
@@ -199,8 +191,7 @@ TEST(HealthScore, DeadbandFollowsLargeWeightMovesOnly)
 
 TEST(HealthScore, SquareWaveFaultConvergesToBoundedTransitions)
 {
-    HealthConfig cfg;
-    HealthScore score(cfg, kNominal);
+    HealthScore score(kNominal);
     Tick now = 0;
     // 5 ms down / 5 ms up square wave for half a second: 100 edges.
     const int samples_per_phase =
@@ -227,8 +218,7 @@ TEST(HealthScore, SquareWaveFaultConvergesToBoundedTransitions)
 // ---------------------------------------------------------------------
 TEST(HealthScore, BackoffDoublesOnRelapseUpToCap)
 {
-    HealthConfig cfg;
-    HealthScore score(cfg, kNominal);
+    HealthScore score(kNominal);
     Tick now = 0;
     Tick expected = kBackoffMin;
     // Each fail->recover cycle within the backoffReset window is a
@@ -252,8 +242,7 @@ TEST(HealthScore, BackoffDoublesOnRelapseUpToCap)
 
 TEST(HealthScore, LongCleanSpellForgivesTheBackoff)
 {
-    HealthConfig cfg;
-    HealthScore score(cfg, kNominal);
+    HealthScore score(kNominal);
     Tick now = 0;
     // Two quick failures escalate the backoff...
     for (int i = 0; i < 2; ++i) {
@@ -274,9 +263,8 @@ TEST(HealthScore, LongCleanSpellForgivesTheBackoff)
 
 TEST(HealthScore, IdenticalSampleStreamsGiveIdenticalSchedules)
 {
-    HealthConfig cfg;
-    HealthScore a(cfg, kNominal);
-    HealthScore b(cfg, kNominal);
+    HealthScore a(kNominal);
+    HealthScore b(kNominal);
     Tick na = 0;
     Tick nb = 0;
     // A messy but fixed scenario: degradation, flap, recovery.

@@ -39,15 +39,18 @@ TEST(NvmeDriver, CompletionEntryFollowsSubmitterNotBuffer)
     topo::Calibration cal;
     topo::Machine m(sim, cal);
     NvmeDevice ssd(m, 0, 4, "ssd"); // port on node 0
+    NvmeDriver drv(ssd);
+    drv.addSq(0);
+    drv.addSq(1); // single-port drive: homed on the node-0 port too
 
     auto t = sim::spawn([&]() -> sim::Task<> {
         // Everything on node 0: nothing crosses the interconnect.
-        co_await ssd.read(128u << 10, 0);
+        co_await drv.read(128u << 10, 0, 0);
         EXPECT_EQ(m.qpiBytesTotal(), 0u);
         // Same local buffer, but the submitting core sits on node 1:
         // exactly the completion entry crosses — 64 bytes, not the
         // 128 KiB payload.
-        co_await ssd.read(128u << 10, 0, false, 1);
+        co_await drv.read(128u << 10, 0, 1);
         EXPECT_EQ(m.qpiBytesTotal(), 64u);
     });
     sim.run();

@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "core/testbed.hpp"
-#include "nvme/nvme.hpp"
+#include "nvme/driver.hpp"
 #include "workloads/antagonists.hpp"
 #include "workloads/fio.hpp"
 #include "workloads/kvstore.hpp"
@@ -240,9 +240,11 @@ TEST(Nvme, ReadLatencyIncludesMediaAndDma)
     topo::Calibration cal;
     topo::Machine m(sim, cal);
     nvme::NvmeDevice ssd(m, 1, 4, "ssd");
+    nvme::NvmeDriver drv(ssd);
+    drv.addSq(0);
     sim::Tick lat = 0;
     auto t = sim::spawn([&]() -> sim::Task<> {
-        lat = co_await ssd.read(128 << 10, 0);
+        lat = co_await drv.read(128 << 10, 0, 0);
     });
     sim.run();
     EXPECT_GT(lat, cal.ssdLatency);
@@ -258,8 +260,10 @@ TEST(Nvme, OctoSteerUsesLocalPort)
     topo::Machine m(sim, cal);
     nvme::NvmeDevice ssd(m, 1, 4, "ssd");
     ssd.addSecondPort(0, 4);
+    nvme::NvmeDriver drv(ssd);
+    drv.addSq(0); // homed on the node-0 port
     auto t = sim::spawn([&]() -> sim::Task<> {
-        co_await ssd.read(128 << 10, 0, /*octo_steer=*/true);
+        co_await drv.read(128 << 10, 0, 0);
     });
     sim.run();
     // Steered through the node-0 port: no interconnect crossing.
@@ -285,8 +289,10 @@ TEST(Fio, SustainsQueueDepthThroughput)
     topo::Calibration cal;
     topo::Machine m(sim, cal);
     nvme::NvmeDevice ssd(m, 1, 4, "ssd");
+    nvme::NvmeDriver drv(ssd);
+    drv.addSq(0);
     FioConfig fc;
-    FioThread fio(os::ThreadCtx(m, m.coreOn(0, 0)), {&ssd}, fc);
+    FioThread fio(os::ThreadCtx(m, m.coreOn(0, 0)), {&drv}, fc);
     fio.start();
     sim.runUntil(fromMs(20));
     // One SSD sustains ~media rate: 25 Gb/s x 20 ms ~= 62 MB.

@@ -12,8 +12,8 @@ Usage:
     python3 tools/check_observability.py [fig06-dir [tx_retention-dir]]
 
 The directories hold what `bench_fig06_tcp_rx --trace --sample-us 1000`
-and `bench_tx_retention --trace` wrote; both default to the current
-directory. Exits non-zero on the first failed assertion.
+and `bench_tx_retention --quick --trace` (or its full run) wrote; both
+default to the current directory. Exits non-zero on the first failed assertion.
 """
 
 import json

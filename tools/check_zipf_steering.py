@@ -1,29 +1,37 @@
 #!/usr/bin/env python3
 """Acceptance checks on bench_zipf_steering's output.
 
-Monitored (access monitor + schemes) must beat reactive-only steering
-on local-byte share and goodput on every preset, with promotions made
-and more than one region; the sampled run must write the v2 report
-with region snapshots on monitored runs only; and the monitor's
-self-cost counters must be in the metric snapshot.
+Every output file (CSV, report, metric snapshot, trace) must be
+non-empty; monitored (access monitor + schemes) must beat
+reactive-only steering on local-byte share and goodput on every
+preset, with promotions made and more than one region; the sampled
+run must write the v2 report with region snapshots on monitored runs
+only; and the monitor's self-cost counters must be in the metric
+snapshot.
 
 Usage:
     python3 tools/check_zipf_steering.py [zipf_steering.csv
-        [zipf_steering_report.json [zipf_steering_metrics.prom]]]
+        [zipf_steering_report.json [zipf_steering_metrics.prom
+        [zipf_steering_trace.json]]]]
 
-Run it in the directory where `bench_zipf_steering --quick
---sample-us 1000` (or any run with `--sample-us`) wrote its files.
-Exits non-zero on the first failed assertion.
+Run it in the directory where `bench_zipf_steering --quick --trace
+--sample-us 1000` (or any run with `--trace` and `--sample-us`) wrote
+its files. Exits non-zero on the first failed assertion.
 """
 
 import csv
 import json
+import os
 import sys
 
 
 def main(csv_path="zipf_steering.csv",
          report_path="zipf_steering_report.json",
-         prom_path="zipf_steering_metrics.prom"):
+         prom_path="zipf_steering_metrics.prom",
+         trace_path="zipf_steering_trace.json"):
+    for path in (csv_path, report_path, trace_path, prom_path):
+        assert os.path.getsize(path) > 0, f"{path}: empty"
+
     # Scheme payoff: monitored beats reactive on local-byte
     # share and goodput on every preset in the quick matrix.
     rows = list(csv.DictReader(open(csv_path)))
@@ -81,4 +89,4 @@ def main(csv_path="zipf_steering.csv",
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:4])
+    main(*sys.argv[1:5])
