@@ -32,6 +32,12 @@ using octo::sim::Simulator;
 using octo::sim::Task;
 using octo::sim::Tick;
 
+constexpr Tick kL0Horizon = Simulator::kL0Horizon;
+constexpr Tick kWheelHorizon = Simulator::kWheelHorizon;
+/** BM_ShortDelays' delay range: 64 level-0 slots. */
+constexpr Tick kShortSpan = Simulator::kSlotTicks * 64;
+static_assert(kShortSpan <= kL0Horizon && kL0Horizon * 256 <= kWheelHorizon);
+
 /** xorshift: cheap deterministic delay sequence (no <random> cost). */
 struct Rng
 {
@@ -88,7 +94,8 @@ BM_HotWindow(benchmark::State& state)
 }
 BENCHMARK(BM_HotWindow)->Arg(1)->Arg(16);
 
-/** Short random delays: level-0 filings across many slots. */
+/** Short random delays: level-0 filings across many slots, mostly
+ *  past the window in flight. */
 void
 BM_ShortDelays(benchmark::State& state)
 {
@@ -109,9 +116,11 @@ BM_ShortDelays(benchmark::State& state)
                 if (left == 0)
                     return;
                 --left;
-                // 0..16383 ticks: always inside the level-0 horizon.
-                sim.scheduleIn(
-                    static_cast<Tick>(rng.next() & 0x3FFF), *this);
+                // Up to 64 level-0 slots ahead: always inside the
+                // level-0 horizon.
+                sim.scheduleIn(static_cast<Tick>(rng.next() &
+                                                 (kShortSpan - 1)),
+                               *this);
             }
         };
         for (int c = 0; c < 32; ++c)
@@ -147,16 +156,17 @@ BM_MixedHorizon(benchmark::State& state)
                 const std::uint64_t r = rng.next();
                 Tick d;
                 switch (r & 7) {
-                  case 0: // level 1 (beyond the 2^24 level-0 horizon)
-                    d = static_cast<Tick>((r >> 8) & 0xFFFFFFFF) |
-                        (Tick{1} << 25);
+                  case 0: // level 1: 2..256 level-0 horizons out
+                    d = static_cast<Tick>((r >> 8) &
+                                          (kL0Horizon * 256 - 1)) |
+                        (kL0Horizon * 2);
                     break;
-                  case 1: // overflow heap (beyond the 2^40 horizon)
+                  case 1: // overflow heap (beyond the wheel horizon)
                     d = static_cast<Tick>((r >> 8) & 0xFFFF) |
-                        (Tick{1} << 41);
+                        (kWheelHorizon * 2);
                     break;
                   default: // level 0
-                    d = static_cast<Tick>(r & 0xFFFFF);
+                    d = static_cast<Tick>(r & (kL0Horizon / 16 - 1));
                     break;
                 }
                 sim.scheduleIn(d, *this);

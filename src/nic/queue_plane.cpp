@@ -200,36 +200,34 @@ QueuePlane::queueDmaLocal(int qid) const
     return q.pf->linkUp() && q.pf->node() == q.bufNode;
 }
 
-sim::Task<>
+sim::Delay
 QueuePlane::cqeRead(const NicQueue& q, DataLoc cqe_loc, int buf_node,
                     const topo::Core& reader)
 {
     const auto& cal = machine_.cal();
-    if (cqe_loc == DataLoc::Llc && buf_node == reader.node()) {
-        co_await delay(sim_, cal.llcLatency);
-    } else if (cqe_loc == DataLoc::Llc) {
+    if (cqe_loc == DataLoc::Llc && buf_node == reader.node())
+        return delay(sim_, cal.llcLatency);
+    if (cqe_loc == DataLoc::Llc) {
         // Ring homed on the device's node (§2.4 remote-DDIO ablation):
         // the entry is forwarded cache-to-cache across the interconnect
         // — marginally cheaper than a local DRAM miss.
-        co_await delay(sim_, cal.qpiLatency + cal.llcLatency +
-                                 cal.rxRemoteDescMiss);
-    } else {
-        // The line was just posted by the remote device; the read
-        // serializes behind the device's in-flight writes on the
-        // interconnect, so under congestion (Fig. 11) the wait grows
-        // with the load — bounded by the home agent's read-queue cap.
-        // Same-node only with DDIO off: a plain local DRAM miss, no
-        // interconnect crossing to serialize behind.
-        const Tick backlog =
-            q.pf->node() == reader.node()
-                ? 0
-                : std::min(machine_.qpi(q.pf->node(), reader.node())
-                               .backlog(),
-                           cal.remoteMissWaitCap);
-        machine_.dram(buf_node).reserve(64ull * cal.cqeLines);
-        co_await delay(sim_, cal.dramLatency + cal.qpiLatency + backlog +
-                                 cal.rxRemoteDescMiss);
+        return delay(sim_, cal.qpiLatency + cal.llcLatency +
+                               cal.rxRemoteDescMiss);
     }
+    // The line was just posted by the remote device; the read
+    // serializes behind the device's in-flight writes on the
+    // interconnect, so under congestion (Fig. 11) the wait grows with
+    // the load — bounded by the home agent's read-queue cap. Same-node
+    // only with DDIO off: a plain local DRAM miss, no interconnect
+    // crossing to serialize behind.
+    const Tick backlog =
+        q.pf->node() == reader.node()
+            ? 0
+            : std::min(machine_.qpi(q.pf->node(), reader.node()).backlog(),
+                       cal.remoteMissWaitCap);
+    machine_.dram(buf_node).reserve(64ull * cal.cqeLines);
+    return delay(sim_, cal.dramLatency + cal.qpiLatency + backlog +
+                           cal.rxRemoteDescMiss);
 }
 
 } // namespace octo::nic

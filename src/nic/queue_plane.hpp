@@ -101,10 +101,12 @@ class QueuePlane : public steer::SteerablePlane
      * reader's LLC, a cache-to-cache forward across the interconnect
      * when it sits in the other node's LLC, or a DRAM miss that
      * serializes behind the device's in-flight posted writes. Software
-     * removes no part of this — it is pure memory system.
+     * removes no part of this — it is pure memory system. The cost is
+     * fixed at the call (await it at once).
      */
-    sim::Task<> cqeRead(const NicQueue& q, mem::DataLoc cqe_loc,
-                        int buf_node, const topo::Core& reader);
+    [[nodiscard]] sim::Delay cqeRead(const NicQueue& q,
+                                     mem::DataLoc cqe_loc, int buf_node,
+                                     const topo::Core& reader);
 
   protected:
     QueuePlane(topo::Machine& machine, NicDevice& device);

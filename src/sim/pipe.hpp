@@ -67,18 +67,24 @@ class Pipe
         return nextFree_ > now ? nextFree_ - now : 0;
     }
 
+    /** Awaiter returned by transfer(): one timer event on the awaiting
+     *  coroutine, resuming with the transfer's latency. */
+    struct [[nodiscard]] TransferAwaiter : Delay
+    {
+        Tick await_resume() const noexcept { return d; }
+    };
+
     /**
-     * Occupy the pipe for @p bytes and suspend until the transfer has
-     * fully propagated. Returns the per-transfer latency experienced
-     * (queueing + service + propagation).
+     * Occupy the pipe for @p bytes now; awaiting the result suspends
+     * until the transfer has fully propagated and yields the latency
+     * experienced (queueing + service + propagation). The booking
+     * happens at the call, so await it at once.
      */
-    Task<Tick>
+    TransferAwaiter
     transfer(std::uint64_t bytes)
     {
         const Tick done = reserve(bytes);
-        const Tick total = done - sim_.now();
-        co_await delay(sim_, total);
-        co_return total;
+        return TransferAwaiter{{sim_, done - sim_.now()}};
     }
 
     /**

@@ -6,7 +6,7 @@ namespace octo::sim {
 
 namespace {
 
-/** Start of the enclosing level-0 slot window (256-tick aligned). */
+/** Start of the 2^shift-tick window holding @p when. */
 constexpr Tick
 windowStart(Tick when, int shift)
 {
@@ -18,10 +18,8 @@ windowStart(Tick when, int shift)
 
 Simulator::Simulator()
 {
-    level0_.head = std::make_unique<std::uint32_t[]>(kSlots);
-    level1_.head = std::make_unique<std::uint32_t[]>(kSlots);
-    std::fill_n(level0_.head.get(), kSlots, kNil);
-    std::fill_n(level1_.head.get(), kSlots, kNil);
+    std::fill_n(level0_.head, kSlots, kNil);
+    std::fill_n(level1_.head, kSlots, kNil);
     domainTable_.fill(0xFF);
     domains_.push_back(Domain{}); // id 0: untagged
     domainCount_.push_back(0);
@@ -210,8 +208,8 @@ Simulator::overflowPop()
  * nothing is due within the limit.
  *
  * Ordering argument (DESIGN.md §11): level-0 events agree with
- * elapsed_ on bits >= 24 of `when`, so they all precede every level-1
- * event (which differs somewhere in bits [24, 40)) and every overflow
+ * elapsed_ on bits >= 28 of `when`, so they all precede every level-1
+ * event (which differs somewhere in bits [28, 40)) and every overflow
  * event (bits >= 40). Level 0 therefore always holds the global
  * minimum when non-empty, then level 1, then the heap. Within a
  * level, occupied buckets never lie behind the current position
@@ -240,7 +238,7 @@ Simulator::collectNext(Tick limit)
             const int slot = level0_.next(cur);
             assert(slot >= 0);
             // Single pass: collect the bucket while finding its
-            // earliest deadline (buckets are tiny: one 256-tick
+            // earliest deadline (buckets are small: one 2^16-tick
             // window). Nothing is unlinked yet, so bailing out on
             // minWhen > limit leaves the bucket untouched.
             drain_.clear();
@@ -257,7 +255,7 @@ Simulator::collectNext(Tick limit)
             const Tick base = windowStart(minWhen, kSlotShift);
             if (base > elapsed_)
                 elapsed_ = base;
-            drainWinEnd_ = base + (Tick{1} << kSlotShift);
+            drainWinEnd_ = base + kSlotTicks;
             level0_.head[slot] = kNil;
             level0_.clear(slot);
             if (drain_.size() > 1)
@@ -337,7 +335,7 @@ Simulator::sortDrain()
 
 /**
  * Fire the collected batch in (when, seq) order, stopping at @p limit
- * (a level-0 window spans 256 ticks and may straddle a runUntil
+ * (a level-0 window spans 2^16 ticks and may straddle a runUntil
  * bound); events past the limit are re-filed into the wheel.
  */
 std::uint64_t
@@ -427,8 +425,7 @@ Simulator::schedule(Tick when, const EventRef& ev)
     assert((s.kind & kKindMask) == kArmed);
     assert((s.kind & kPendingBit) == 0 &&
            "EventRef already armed; cancel first");
-    assert(when >= now_);
-    s.when = when;
+    s.when = clampWhen(when);
     s.seq = seq_++;
     s.kind |= kPendingBit;
     s.kind &= static_cast<std::uint8_t>(~kCancelBit);

@@ -8,13 +8,14 @@
  * scheduled for the same tick fire in scheduling order (FIFO), which
  * keeps the model deterministic.
  *
- * Implementation (the PR-8 event core, DESIGN.md §11):
+ * Implementation (DESIGN.md §11):
  *
- *  - A hierarchical timer wheel: two 65536-slot levels (level-0 slots
- *    span 256 ticks for a ~16.8 us horizon, level 1 reaches ~1.1 s);
+ *  - A hierarchical timer wheel: two 4096-slot levels (level-0 slots
+ *    span 2^16 ticks for a ~268 us horizon, level 1 reaches ~1.1 s);
  *    events beyond the horizon wait in an overflow min-heap and are
  *    admitted as the wheel turns. Scheduling and dispatch are O(1)
- *    amortized regardless of the pending-event count.
+ *    amortized regardless of the pending-event count, and both levels'
+ *    bucket heads (32 KB) stay cache-resident.
  *  - A pooled, intrusive event representation: fixed-size EventSlots
  *    allocated from a chunked free-list, with 64 bytes of inline
  *    storage for the callback. Steady-state scheduling performs zero
@@ -101,6 +102,27 @@ class Simulator
     /** Slots added per pool growth (graceful, counted). */
     static constexpr std::size_t kChunkSlots = 1024;
 
+    // ---- timer-wheel geometry (compile-time) -------------------------
+    // Two levels of 2^12 slots. A level-0 slot spans 2^16 ticks
+    // (65.5 ns): wide enough that a burst of same-window events shares
+    // one bucket and one drain sort, narrow enough that the in-flight
+    // batch stays short. Level 0 holds nearly every model delay
+    // (service times, wire latencies, IRQ coalesce windows) in a single
+    // filing; level 1 reaches ~1.1 s. Farther events wait in the
+    // overflow heap. Each level's bucket heads take 16 KB, so inserts
+    // hit cache where 2^16-slot levels (256 KB each) missed. A
+    // narrow-level cascading wheel (Varghese-Lauck) would re-file each
+    // microsecond-scale event through every level instead.
+    static constexpr int kSlotShift = 16;
+    static constexpr int kLevelBits = 12;
+    /** Ticks per level-0 slot (2^16 ticks = 65.5 ns). */
+    static constexpr Tick kSlotTicks = Tick{1} << kSlotShift;
+    /** Level-0 reach: 2^28 ticks (~268 us). */
+    static constexpr Tick kL0Horizon = kSlotTicks << kLevelBits;
+    /** Wheel reach: 2^40 ticks (~1.1 s); the overflow heap holds the
+     *  rest. */
+    static constexpr Tick kWheelHorizon = kL0Horizon << kLevelBits;
+
     Simulator();
     ~Simulator();
 
@@ -110,13 +132,16 @@ class Simulator
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Schedule a callback at absolute time @p when (>= now). */
+    /** Schedule a callback at absolute time @p when (>= now; an
+     *  earlier time is clamped to now and counted like a negative
+     *  delay). */
     template <typename F>
         requires(!std::same_as<std::remove_cvref_t<F>, EventRef>)
     void
     schedule(Tick when, F&& fn)
     {
-        scheduleTagged(when, currentDomain_, std::forward<F>(fn));
+        scheduleTagged(clampWhen(when), currentDomain_,
+                       std::forward<F>(fn));
     }
 
     /** Schedule a domain-tagged callback at absolute time @p when. */
@@ -124,7 +149,7 @@ class Simulator
     void
     schedule(Tick when, Domain d, F&& fn)
     {
-        scheduleTagged(when, domainId(d), std::forward<F>(fn));
+        scheduleTagged(clampWhen(when), domainId(d), std::forward<F>(fn));
     }
 
     /** Schedule a callback @p delay ticks from now. */
@@ -253,8 +278,9 @@ class Simulator
     /** Number of events processed since construction. */
     std::uint64_t eventsProcessed() const { return processed_; }
 
-    /** Times a negative delay was clamped to 0 (a model bug;
-     *  asserts in debug builds unless allowNegativeDelay()). */
+    /** Times a negative delay or a past absolute time was clamped to
+     *  now (a model bug; asserts in debug builds unless
+     *  allowNegativeDelay()). */
     std::uint64_t negativeDelays() const { return negativeDelays_; }
 
     /** Callbacks too large for inline slot storage (heap fallback). */
@@ -310,19 +336,8 @@ class Simulator
     obs::Hub* hub() const { return hub_; }
 
   private:
-    // ---- timer-wheel geometry --------------------------------------
-    // Two wide levels sized for picosecond ticks: level 0 has 2^16
-    // slots of 2^8 ticks (256 ps) covering a ~16.8 us horizon — which
-    // holds nearly every model delay (service times, wire latencies,
-    // IRQ coalesce windows) in a single filing — and level 1 has 2^16
-    // slots of 2^24 ticks reaching ~1.1 s. Farther events wait in the
-    // overflow heap. A narrow-level cascading wheel (Varghese-Lauck)
-    // re-files each microsecond-scale event through every level and
-    // loses to the old binary heap at this tick resolution.
-    static constexpr int kSlotShift = 8;   // level-0 slot = 256 ticks
-    static constexpr int kLevelBits = 16;  // 65536 slots per level
     static constexpr int kSlots = 1 << kLevelBits;
-    static constexpr int kL1Shift = kSlotShift + kLevelBits;  // 24
+    static constexpr int kL1Shift = kSlotShift + kLevelBits;   // 28
     static constexpr int kHorizonBits = kL1Shift + kLevelBits; // 40
     static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
@@ -354,31 +369,29 @@ class Simulator
     };
 
     /**
-     * One wheel level: 65536 buckets with a three-tier occupancy
-     * bitmap (top -> summary[16] -> words[1024]) so the next occupied
-     * bucket is found in a handful of loads. Because elapsed_ never
-     * passes a pending deadline, occupied buckets always lie at or
-     * ahead of the current position within the level's block — the
-     * search never wraps.
+     * One wheel level: 4096 buckets with a two-tier occupancy bitmap
+     * (top -> words[64]) so the next occupied bucket is found in at
+     * most two bitmap loads. Because elapsed_ never passes a pending
+     * deadline, occupied buckets always lie at or ahead of the current
+     * position within the level's block — the search never wraps.
      */
     struct Level
     {
+        static_assert(kSlots == 64 * 64, "two bitmap tiers of 64 bits");
         std::uint64_t top = 0;
-        std::uint64_t summary[kSlots / 4096] = {};
         std::uint64_t words[kSlots / 64] = {};
         // Bucket lists are LIFO singly-linked stacks (head only): the
         // dispatch path re-sorts every drained bucket by (when, seq),
         // so insertion order inside a bucket carries no meaning and a
         // tail pointer would only double the insert's cache traffic.
-        std::unique_ptr<std::uint32_t[]> head;
+        std::uint32_t head[kSlots];
 
         void
         mark(int slot)
         {
             const int w = slot >> 6;
             words[w] |= std::uint64_t{1} << (slot & 63);
-            summary[w >> 6] |= std::uint64_t{1} << (w & 63);
-            top |= std::uint64_t{1} << (w >> 6);
+            top |= std::uint64_t{1} << w;
         }
 
         void
@@ -386,11 +399,8 @@ class Simulator
         {
             const int w = slot >> 6;
             words[w] &= ~(std::uint64_t{1} << (slot & 63));
-            if (words[w] == 0) {
-                summary[w >> 6] &= ~(std::uint64_t{1} << (w & 63));
-                if (summary[w >> 6] == 0)
-                    top &= ~(std::uint64_t{1} << (w >> 6));
-            }
+            if (words[w] == 0)
+                top &= ~(std::uint64_t{1} << w);
         }
 
         bool empty() const { return top == 0; }
@@ -399,27 +409,17 @@ class Simulator
         int
         next(int from) const
         {
-            int w = from >> 6;
+            const int w = from >> 6;
             const std::uint64_t m =
                 words[w] & (~std::uint64_t{0} << (from & 63));
             if (m != 0)
                 return (w << 6) | std::countr_zero(m);
-            const int sw = w >> 6;
-            const int sb = (w & 63) + 1;
-            const std::uint64_t sm =
-                sb >= 64 ? 0
-                         : summary[sw] & (~std::uint64_t{0} << sb);
-            if (sm != 0) {
-                w = (sw << 6) | std::countr_zero(sm);
-                return (w << 6) | std::countr_zero(words[w]);
-            }
-            const std::uint64_t tm = top & (~std::uint64_t{0}
-                                            << (sw + 1));
+            const std::uint64_t tm =
+                w == 63 ? 0 : top & (~std::uint64_t{0} << (w + 1));
             if (tm == 0)
                 return -1;
-            const int s2 = std::countr_zero(tm);
-            w = (s2 << 6) | std::countr_zero(summary[s2]);
-            return (w << 6) | std::countr_zero(words[w]);
+            const int w2 = std::countr_zero(tm);
+            return (w2 << 6) | std::countr_zero(words[w2]);
         }
     };
 
@@ -519,7 +519,6 @@ class Simulator
     void
     scheduleTagged(Tick when, int domain_id, F&& fn)
     {
-        assert(when >= now_);
         const std::uint32_t idx =
             makeCallbackSlot(std::forward<F>(fn), domain_id);
         EventSlot& s = slotAt(idx);
@@ -539,6 +538,15 @@ class Simulator
             return 0;
         }
         return delay;
+    }
+
+    /** Clamp a past absolute time to now, counted as a negative delay:
+     *  filing it behind the wheel's position would rewind the clock or
+     *  index before the level's bucket array. */
+    Tick
+    clampWhen(Tick when)
+    {
+        return when < now_ ? now_ + clampDelay(when - now_) : when;
     }
 
     // ---- wheel plumbing (simulator.cpp) -----------------------------

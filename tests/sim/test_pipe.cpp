@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/pipe.hpp"
 #include "sim/stats.hpp"
 #include "sim/simulator.hpp"
@@ -122,6 +124,27 @@ TEST(Pipe, RateChangeAffectsFutureTransfers)
     sim.run();
     EXPECT_EQ(first, fromNs(100));
     EXPECT_EQ(second, fromNs(150));
+    EXPECT_TRUE(t.done());
+}
+
+TEST(Pipe, TransferCompletionFiresInSequenceOrder)
+{
+    // A transfer's completion draws its sequence number when it is
+    // awaited: among events due at the same tick it fires after those
+    // scheduled before it and before those scheduled after it.
+    Simulator sim;
+    Pipe pipe(sim, 100.0);
+    const Tick done = fromNs(100);
+    std::vector<int> order;
+    sim.schedule(done, [&] { order.push_back(0); });
+    auto t = spawn([&]() -> Task<> {
+        co_await pipe.transfer(1250);
+        order.push_back(1);
+    });
+    sim.schedule(done, [&] { order.push_back(2); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(sim.now(), done);
     EXPECT_TRUE(t.done());
 }
 

@@ -100,6 +100,33 @@ TEST(Simulator, NegativeDelayClampsToNowAndIsCounted)
     EXPECT_EQ(sim.negativeDelays(), 1u);
 }
 
+TEST(Simulator, PastAbsoluteTimeClampsToNowAndIsCounted)
+{
+    // An absolute time behind the clock is the same model bug as a
+    // negative delay: every schedule(when, ...) form fires it at now
+    // and counts it, inside a dispatch and between two runUntil calls.
+    Simulator sim;
+    sim.allowNegativeDelay(true);
+    std::vector<Tick> at;
+    const auto record = [&] { at.push_back(sim.now()); };
+    EventRef ref = sim.makeEvent(record);
+    const auto scheduleAll = [&](Tick when) {
+        sim.schedule(when, record);
+        sim.schedule(when, Domain{0, 0}, record);
+        sim.schedule(when, ref);
+    };
+    sim.schedule(1000, [&] { scheduleAll(500); });
+    sim.runUntil(2000);
+    EXPECT_EQ(at, (std::vector<Tick>{1000, 1000, 1000}));
+    EXPECT_EQ(sim.negativeDelays(), 3u);
+    scheduleAll(500);
+    sim.runUntil(3000);
+    EXPECT_EQ(at, (std::vector<Tick>{1000, 1000, 1000, 2000, 2000, 2000}));
+    EXPECT_EQ(sim.negativeDelays(), 6u);
+    EXPECT_EQ(sim.now(), 3000);
+    sim.release(ref);
+}
+
 TEST(Simulator, RunUntilNeverRewindsTheClock)
 {
     Simulator sim;

@@ -4,9 +4,11 @@
  * overflow heap, the pooled EventRef/periodic API, pool growth, and
  * teardown reclamation of parked coroutine frames.
  *
- * The geometry under test (DESIGN.md §11): level-0 slots span 2^8
- * ticks with a 2^24-tick horizon, level 1 reaches 2^40 ticks, and
- * events beyond that wait in the overflow min-heap.
+ * The geometry under test is Simulator's (DESIGN.md §11): level-0
+ * slots of kSlotTicks up to the kL0Horizon, level 1 up to the
+ * kWheelHorizon, and the overflow min-heap beyond. Every constant here
+ * derives from those, so each test reaches the tier it names whatever
+ * the slot width.
  */
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/pipe.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -22,8 +25,10 @@
 namespace octo::sim {
 namespace {
 
-constexpr Tick kL0Horizon = Tick{1} << 24;
-constexpr Tick kWheelHorizon = Tick{1} << 40;
+constexpr Tick kSlotTicks = Simulator::kSlotTicks;
+constexpr Tick kL0Horizon = Simulator::kL0Horizon;
+constexpr Tick kWheelHorizon = Simulator::kWheelHorizon;
+static_assert(kSlotTicks < kL0Horizon && kL0Horizon < kWheelHorizon);
 
 /** Randomized property: dispatch order is (when, scheduling order)
  *  regardless of which level or heap each event files into. */
@@ -82,15 +87,17 @@ TEST(TimerWheel, CascadeFromLevel1PreservesOrder)
 {
     Simulator sim;
     std::vector<int> order;
-    // Both land in one level-1 bucket (same bits [24,40)), different
-    // level-0 windows after the cascade.
+    // All three land in one level-1 bucket (one kL0Horizon-aligned
+    // block past level 0's reach) and in two different level-0 windows
+    // after the cascade.
     const Tick base = kL0Horizon * 3;
-    sim.schedule(base + 5000, [&] { order.push_back(1); });
+    const Tick later = base + kSlotTicks * 5 + 5000;
+    sim.schedule(later, [&] { order.push_back(1); });
     sim.schedule(base + 100, [&] { order.push_back(0); });
-    sim.schedule(base + 5000, [&] { order.push_back(2); });
+    sim.schedule(later, [&] { order.push_back(2); });
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(sim.now(), base + 5000);
+    EXPECT_EQ(sim.now(), later);
 }
 
 TEST(TimerWheel, OverflowHorizonRollover)
@@ -114,16 +121,18 @@ TEST(TimerWheel, OverflowHorizonRollover)
 TEST(TimerWheel, RunUntilMidWindowRefilesTail)
 {
     Simulator sim;
-    // Two events in the same 256-tick level-0 window, a runUntil bound
-    // between them: the second must survive the cut and fire later.
+    // Two events in the same level-0 window, a runUntil bound between
+    // them: the second must survive the cut and fire later.
+    const Tick w = kSlotTicks * 2;
+    static_assert(kSlotTicks > 3, "both events share one window");
     std::vector<Tick> at;
-    sim.schedule(512, [&] { at.push_back(sim.now()); });
-    sim.schedule(515, [&] { at.push_back(sim.now()); });
-    sim.runUntil(513);
-    EXPECT_EQ(at, (std::vector<Tick>{512}));
-    EXPECT_EQ(sim.now(), 513);
-    sim.runUntil(600);
-    EXPECT_EQ(at, (std::vector<Tick>{512, 515}));
+    sim.schedule(w, [&] { at.push_back(sim.now()); });
+    sim.schedule(w + 3, [&] { at.push_back(sim.now()); });
+    sim.runUntil(w + 1);
+    EXPECT_EQ(at, (std::vector<Tick>{w}));
+    EXPECT_EQ(sim.now(), w + 1);
+    sim.runUntil(w + kSlotTicks);
+    EXPECT_EQ(at, (std::vector<Tick>{w, w + 3}));
 }
 
 // ---- EventRef / periodic API -----------------------------------------
@@ -269,6 +278,30 @@ TEST(TimerWheel, TeardownDestroysParkedDetachedFrames)
         // ~Simulator: the parked resume event's frame is detached
         // (no Task owns it), so teardown destroys it — running the
         // frame-local destructors — instead of leaking.
+    }
+    EXPECT_TRUE(destroyed);
+}
+
+Task<>
+transferForever(Pipe& pipe, bool* destroyed)
+{
+    DtorFlag sentinel(destroyed);
+    for (;;)
+        co_await pipe.transfer(1250);
+}
+
+TEST(TimerWheel, TeardownDestroysDetachedFrameParkedInTransfer)
+{
+    // Pipe::transfer parks the awaiting coroutine itself on the timer
+    // event, so teardown finds the detached frame there too.
+    bool destroyed = false;
+    {
+        Simulator sim;
+        Pipe pipe(sim, 100.0); // 1250 B = 100 ns
+        transferForever(pipe, &destroyed).detach();
+        sim.runUntil(fromNs(250));
+        EXPECT_EQ(pipe.transfers(), 3u);
+        EXPECT_FALSE(destroyed);
     }
     EXPECT_TRUE(destroyed);
 }

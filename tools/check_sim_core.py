@@ -17,10 +17,12 @@ import json
 import sys
 
 # benchmark-name prefix -> minimum events/sec. Reference rates on one
-# 2.1 GHz core (2026-08): HotWindow 36-43M, ShortDelays 28M,
-# MixedHorizon 20M, Periodic 22M, CoroutineResume 39M. The seed
-# priority-queue + std::function core sat in the 5-10M range, so these
-# floors also assert "never slower than the pre-refactor core".
+# 2.1 GHz Xeon core of a shared VM (2026-10, 4096-slot wheel with
+# 2^16-tick level-0 slots; medians of runs that spread by ~20%):
+# HotWindow/1 31-39M, HotWindow/16 20-29M, ShortDelays 19-23M,
+# MixedHorizon 15-19M, Periodic 19-25M, CoroutineResume 33-55M. The
+# seed priority-queue + std::function core sat in the 5-10M range, so
+# these floors also assert "never slower than the pre-refactor core".
 FLOORS = {
     "BM_HotWindow/1": 7.0e6,
     "BM_HotWindow/16": 6.0e6,
